@@ -1,8 +1,8 @@
 """Walkthrough: solving the joint allocation problem with proportional fairness.
 
-The solver alternates between exact per-user threshold selection (cached as
+The solver combines exact per-user threshold selection (cached as
 budget-indexed utility curves), user-to-node assignment, and exact integer
-compute splits, maximizing the weighted sum of log utilities.
+compute splits in one pass, maximizing the weighted sum of log utilities.
 
 Run:  python3 demos/04_fair_allocation.py
 """

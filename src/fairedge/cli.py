@@ -133,7 +133,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_bundle(bundle, args.out)
         _say(f"bundle written to {args.out}")
     _say(
-        f"objective {report.objective:.6f} after {report.iterations} rounds; "
+        f"objective {report.objective:.6f} from one assignment search; "
         f"gap {report.relative_gap_pct if report.relative_gap_pct is not None else 'n/a'}"
     )
     _emit(bundle_to_dict(bundle))

@@ -9,8 +9,10 @@ Utility reacts to the compute allocation only through the offload-count
 budget, so the resource subproblem collapses to an integer allocation over
 per-user budget-indexed utility curves, with deadline feasibility handled
 independently by a minimum-bandwidth search at full transmit power.  That
-reduction drives the alternating solver, the grouped bound and the fully
-relaxed bound alike.
+reduction drives the solver, the grouped bound and the fully relaxed bound
+alike.  The curves never change once built, so the solver needs a single
+assignment search; within it each per-node compute split is computed once
+per (capacity, user set) and reused.
 """
 
 from __future__ import annotations
@@ -167,14 +169,10 @@ class SolveReport:
 @dataclass(frozen=True)
 class SolveOptions:
     mode: str = "exhaustive"
-    max_rounds: int = 50
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "local"):
             raise ValueError("mode must be 'exhaustive' or 'local'")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
 
 def _shape_or_raise(plan: AllocationPlan, scenario: Scenario) -> tuple[int, int]:
@@ -344,29 +342,27 @@ def allocate_compute_dp(
     return allocation
 
 
+def _min_bandwidth(scenario: Scenario, ue: UEProfile) -> tuple[float | None, str | None]:
+    """Minimum deadline-meeting bandwidth at full power, or None and the cause."""
+    if scenario.power_cap_w <= 0.0:
+        return None, "zero power cap"
+    try:
+        return (
+            linkmod.min_bandwidth_for_deadline(
+                ue.channel, scenario.power_cap_w, ue.demand, scenario.bandwidth_cap_hz
+            ),
+            None,
+        )
+    except linkmod.InsecureLinkError:
+        return None, "insecure link"
+    except linkmod.DeadlineInfeasibleError:
+        return None, "deadline unreachable within the bandwidth cap"
+
+
 def _min_bandwidths(scenario: Scenario) -> tuple[list[float | None], list[str | None]]:
     """Per-user minimum deadline-meeting bandwidth at full power, or failure cause."""
-    needs: list[float | None] = []
-    causes: list[str | None] = []
-    for ue in scenario.ues:
-        if scenario.power_cap_w <= 0.0:
-            needs.append(None)
-            causes.append("zero power cap")
-            continue
-        try:
-            needs.append(
-                linkmod.min_bandwidth_for_deadline(
-                    ue.channel, scenario.power_cap_w, ue.demand, scenario.bandwidth_cap_hz
-                )
-            )
-            causes.append(None)
-        except linkmod.InsecureLinkError:
-            needs.append(None)
-            causes.append("insecure link")
-        except linkmod.DeadlineInfeasibleError:
-            needs.append(None)
-            causes.append("deadline unreachable within the bandwidth cap")
-    return needs, causes
+    results = [_min_bandwidth(scenario, ue) for ue in scenario.ues]
+    return [need for need, _ in results], [cause for _, cause in results]
 
 
 def _feasible_en_sets(scenario: Scenario, min_bw: list[float | None]) -> list[list[int]]:
@@ -393,37 +389,86 @@ def _build_curves(scenario: Scenario, max_units: int) -> list[UtilityCurve]:
     ]
 
 
+class _SplitMemo:
+    """Per-solve memo of per-node compute splits.
+
+    Weights and curves are fixed for a solve, so a node's split depends only
+    on its capacity and on which users share it: splits are keyed by
+    (capacity, user bitmask) and each is computed once by
+    `allocate_compute_dp`.  Objectives are summed in user order from a
+    per-user table of weighted log utilities, which gives the same floats as
+    `weighted_log_objective`, so tie-breaks between assignments are unchanged.
+    """
+
+    def __init__(self, scenario: Scenario, curves: Sequence[UtilityCurve]):
+        self._weights = [ue.weight for ue in scenario.ues]
+        self._curves = curves
+        top = max((en.compute_units for en in scenario.ens), default=0)
+        self._log_values = [
+            [w * math.log(max(curve.value(k), LOG_UTILITY_FLOOR)) for k in range(top + 1)]
+            for w, curve in zip(self._weights, curves)
+        ]
+        self._splits: dict[tuple[int, int], list[int]] = {}
+
+    def split(self, users: Sequence[int], capacity: int) -> list[int]:
+        key = (capacity, sum(1 << i for i in users))
+        split = self._splits.get(key)
+        if split is None:
+            split = allocate_compute_dp(
+                [self._weights[i] for i in users], [self._curves[i] for i in users], capacity
+            )
+            self._splits[key] = split
+        return split
+
+    def objective(self, units: Sequence[int]) -> float:
+        return sum(row[k] for row, k in zip(self._log_values, units))
+
+
+def _node_groups(assignment: Sequence[int], m: int) -> list[list[int]]:
+    """Users of each edge node, in ascending user order."""
+    groups: list[list[int]] = [[] for _ in range(m)]
+    for i, j in enumerate(assignment):
+        groups[j].append(i)
+    return groups
+
+
+def _overloads(
+    groups: Sequence[Sequence[int]], scenario: Scenario, min_bw: Sequence[float | None]
+) -> int:
+    """Edge-node bandwidth and power-pool capacities exceeded by the groups."""
+    count = 0
+    for users, en in zip(groups, scenario.ens):
+        if not users:
+            continue
+        if sum(min_bw[i] for i in users) > en.bandwidth_hz:
+            count += 1
+        if en.power_pool_w is not None and len(users) * scenario.power_cap_w > en.power_pool_w:
+            count += 1
+    return count
+
+
+def _split_value(
+    groups: Sequence[Sequence[int]], scenario: Scenario, memo: _SplitMemo
+) -> tuple[float, list[int]]:
+    """(objective, per-user compute units) with each node's units split exactly."""
+    units = [0] * len(scenario.ues)
+    for users, en in zip(groups, scenario.ens):
+        if users:
+            for i, w in zip(users, memo.split(users, en.compute_units)):
+                units[i] = w
+    return memo.objective(units), units
+
+
 def _assignment_value(
     assignment: Sequence[int],
     scenario: Scenario,
-    curves: Sequence[UtilityCurve],
     min_bw: Sequence[float | None],
+    memo: _SplitMemo,
 ) -> tuple[int, float, list[int]]:
     """(capacity overloads, objective, per-user compute units) for one assignment."""
-    n, m = len(scenario.ues), len(scenario.ens)
-    overloads = 0
-    units = [0] * n
-    for j in range(m):
-        users = [i for i in range(n) if assignment[i] == j]
-        if not users:
-            continue
-        en = scenario.ens[j]
-        if sum(min_bw[i] for i in users) > en.bandwidth_hz:
-            overloads += 1
-        if en.power_pool_w is not None and len(users) * scenario.power_cap_w > en.power_pool_w:
-            overloads += 1
-        split = allocate_compute_dp(
-            [scenario.ues[i].weight for i in users],
-            [curves[i] for i in users],
-            en.compute_units,
-        )
-        for i, w in zip(users, split):
-            units[i] = w
-    total = weighted_log_objective(
-        [ue.weight for ue in scenario.ues],
-        [curves[i].value(units[i]) for i in range(n)],
-    )
-    return overloads, total, units
+    groups = _node_groups(assignment, len(scenario.ens))
+    value, units = _split_value(groups, scenario, memo)
+    return _overloads(groups, scenario, min_bw), value, units
 
 
 def _greedy_assignment(
@@ -463,15 +508,18 @@ def assignment_search(
     mode: str = "exhaustive",
     *,
     min_bandwidth: Sequence[float | None] | None = None,
-    start: Sequence[int] | None = None,
+    _memo: _SplitMemo | None = None,
 ) -> np.ndarray:
     """Pick one edge node per user maximizing the weighted log-utility sum.
 
     Exhaustive mode enumerates every security-feasible combination (guarded
-    to 2^20; beyond that it silently falls back to local mode).  Local mode
-    starts from the greedy assignment (or `start`) and applies single-user
-    reassignment moves until none improves.  `min_bandwidth` may carry
-    precomputed per-user deadline bandwidths.
+    to 2^20; beyond that it silently falls back to local mode), skips those
+    that overload an edge node's bandwidth or power pool before splitting any
+    compute, and keeps the first best.  Local mode starts from the greedy
+    assignment and applies single-user reassignment moves until none
+    improves.  Per-node compute splits are memoised for the call (or shared
+    through `_memo` by the solver).  `min_bandwidth` may carry precomputed
+    per-user deadline bandwidths.
     """
     if mode not in ("exhaustive", "local"):
         raise ValueError("mode must be 'exhaustive' or 'local'")
@@ -486,16 +534,18 @@ def assignment_search(
             "some users have no security- and deadline-feasible edge node",
             blocking_users=blocked,
         )
+    memo = _memo if _memo is not None else _SplitMemo(scenario, utility_curves)
 
     if mode == "exhaustive" and n * math.log2(m) <= _EXHAUSTIVE_GUARD_BITS:
-        best_score: tuple[int, float] | None = None
+        best_value: float | None = None
         best_assignment: tuple[int, ...] | None = None
         for combo in itertools.product(*feasible):
-            overloads, value, _ = _assignment_value(combo, scenario, utility_curves, min_bw)
-            if overloads:
+            groups = _node_groups(combo, m)
+            if _overloads(groups, scenario, min_bw):
                 continue
-            if best_score is None or (0, value) > best_score:
-                best_score = (0, value)
+            value, _ = _split_value(groups, scenario, memo)
+            if best_value is None or value > best_value:
+                best_value = value
                 best_assignment = combo
         if best_assignment is None:
             raise InfeasibleScenarioError(
@@ -503,8 +553,8 @@ def assignment_search(
             )
         chosen = list(best_assignment)
     else:
-        chosen = list(start) if start is not None else _greedy_assignment(scenario, feasible, min_bw)
-        overloads, value, _ = _assignment_value(chosen, scenario, utility_curves, min_bw)
+        chosen = _greedy_assignment(scenario, feasible, min_bw)
+        overloads, value, _ = _assignment_value(chosen, scenario, min_bw, memo)
         score = (-overloads, value)
         for _ in range(10_000):
             best_move = None
@@ -515,7 +565,7 @@ def assignment_search(
                         continue
                     candidate = chosen.copy()
                     candidate[i] = j
-                    c_over, c_value, _ = _assignment_value(candidate, scenario, utility_curves, min_bw)
+                    c_over, c_value, _ = _assignment_value(candidate, scenario, min_bw, memo)
                     c_score = (-c_over, c_value)
                     if c_score > best_move_score:
                         best_move_score = c_score
@@ -538,13 +588,17 @@ def assignment_search(
 def solve_alternating(
     scenario: Scenario, opts: SolveOptions | None = None
 ) -> tuple[AllocationPlan, SolveReport]:
-    """Block-coordinate solve: thresholds, then assignment, then resources.
+    """Solve thresholds, assignment and resources in one pass.
 
     Per-user exact threshold selection is precomputed as a budget-indexed
-    utility curve; each round re-optimizes the assignment given the curves
-    and then splits each edge node's compute units exactly.  Rounds repeat
-    until the objective improves by less than `tol` (at most `max_rounds`);
-    the objective sequence is non-decreasing by construction.
+    utility curve; one assignment search then picks the edge nodes, and
+    each node's compute units are split exactly.  This one pass is already
+    the fixed point of alternating between the blocks: the curves depend
+    only on the streams, never on the assignment or the split, so a second
+    round would search the same curves again and return the same
+    assignment (the exhaustive optimum, or a local optimum that has no
+    improving move).  The report keeps `iterations` (always 1) and a
+    one-entry `objective_history`.
     """
     opts = opts or SolveOptions()
     n, m = len(scenario.ues), len(scenario.ens)
@@ -563,27 +617,16 @@ def solve_alternating(
 
     total_units = sum(en.compute_units for en in scenario.ens)
     curves = _build_curves(scenario, total_units)
-
-    history: list[float] = []
-    assignment: list[int] | None = None
-    units: list[int] = [0] * n
-    for _ in range(opts.max_rounds):
-        x = assignment_search(
-            scenario, curves, opts.mode, min_bandwidth=min_bw, start=assignment
-        )
-        assignment = [int(np.argmax(x[i])) for i in range(n)]
-        _, current, units = _assignment_value(assignment, scenario, curves, min_bw)
-        history.append(current)
-        if len(history) > 1 and current - history[-2] < opts.tol:
-            break
+    memo = _SplitMemo(scenario, curves)
+    x = assignment_search(scenario, curves, opts.mode, min_bandwidth=min_bw, _memo=memo)
+    assignment = [int(np.argmax(x[i])) for i in range(n)]
+    _, final, units = _assignment_value(assignment, scenario, min_bw, memo)
 
     bandwidth = np.zeros((n, m))
     power = np.zeros((n, m))
     compute = np.zeros((n, m), dtype=int)
-    x = np.zeros((n, m), dtype=int)
     thresholds = []
     for i, j in enumerate(assignment):
-        x[i, j] = 1
         bandwidth[i, j] = min_bw[i]
         power[i, j] = scenario.power_cap_w
         compute[i, j] = units[i]
@@ -597,9 +640,8 @@ def solve_alternating(
     )
 
     utilities = tuple(curves[i].value(units[i]) for i in range(n))
-    final = history[-1]
-    lb = lower_bound(scenario, _curves=curves)
-    ub = upper_bound(scenario, _curves=curves)
+    lb = lower_bound(scenario, _curves=curves, _min_bw=min_bw)
+    ub = upper_bound(scenario, _curves=curves, _min_bw=min_bw)
     gap = relative_gap(final, lb) if lb != 0.0 else None
 
     diagnostics = []
@@ -618,12 +660,12 @@ def solve_alternating(
     report = SolveReport(
         objective=final,
         per_user_utility=utilities,
-        iterations=len(history),
+        iterations=1,
         feasible=True,
         lower_bound=lb,
         upper_bound=ub,
         relative_gap_pct=gap,
-        objective_history=tuple(history),
+        objective_history=(final,),
         diagnostics=tuple(diagnostics),
     )
     return plan, report
@@ -636,25 +678,20 @@ def _pooled_value(
     compute_total: int,
     power_total: float | None,
     curves: Sequence[UtilityCurve],
+    min_bw: Sequence[float | None] | None,
 ) -> float:
     """Pooled-capacity allocation value over one user group.
 
     Users are admitted greedily by ascending bandwidth need; users whose link
     fails or who do not fit the pooled bandwidth/power contribute the floor
-    utility.
+    utility.  `min_bw`, when given, carries the per-user needs a solve has
+    already bisected.
     """
     needs: list[tuple[float, int]] = []
     floored: list[int] = []
     for i in user_idx:
-        ue = scenario.ues[i]
-        if scenario.power_cap_w <= 0.0:
-            floored.append(i)
-            continue
-        try:
-            bw = linkmod.min_bandwidth_for_deadline(
-                ue.channel, scenario.power_cap_w, ue.demand, scenario.bandwidth_cap_hz
-            )
-        except linkmod.LinkError:
+        bw = min_bw[i] if min_bw is not None else _min_bandwidth(scenario, scenario.ues[i])[0]
+        if bw is None:
             floored.append(i)
             continue
         needs.append((bw, i))
@@ -696,7 +733,12 @@ def _ensure_curves(scenario: Scenario, curves: Sequence[UtilityCurve] | None) ->
     return _build_curves(scenario, total_units)
 
 
-def lower_bound(scenario: Scenario, *, _curves: Sequence[UtilityCurve] | None = None) -> float:
+def lower_bound(
+    scenario: Scenario,
+    *,
+    _curves: Sequence[UtilityCurve] | None = None,
+    _min_bw: Sequence[float | None] | None = None,
+) -> float:
     """Bound from pooling capacities within each exact security level.
 
     A level that has users but no edge node contributes floor utilities and
@@ -730,11 +772,17 @@ def lower_bound(scenario: Scenario, *, _curves: Sequence[UtilityCurve] | None = 
             compute_total=int(sum(en.compute_units for en in nodes)),
             power_total=power_total,
             curves=curves,
+            min_bw=_min_bw,
         )
     return total
 
 
-def upper_bound(scenario: Scenario, *, _curves: Sequence[UtilityCurve] | None = None) -> float:
+def upper_bound(
+    scenario: Scenario,
+    *,
+    _curves: Sequence[UtilityCurve] | None = None,
+    _min_bw: Sequence[float | None] | None = None,
+) -> float:
     """Bound from merging every edge node and dropping security and assignment."""
     if not scenario.ues:
         return 0.0
@@ -748,6 +796,7 @@ def upper_bound(scenario: Scenario, *, _curves: Sequence[UtilityCurve] | None = 
         compute_total=int(sum(en.compute_units for en in scenario.ens)),
         power_total=power_total,
         curves=curves,
+        min_bw=_min_bw,
     )
 
 

@@ -1,9 +1,10 @@
 """Deliberately naive brute-force references for tests and the verify command.
 
 Everything here re-evaluates the first-crossing rule and the allocation
-objective directly, pair by pair and plan by plan, without touching the
-optimized search structures it is used to validate.  Size guards make the
-cost explicit instead of silently slow.
+objective directly, for every event at every threshold pair (many pairs per
+numpy call) and plan by plan, without touching the optimized search
+structures it is used to validate.  Size guards make the cost explicit
+instead of silently slow.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .fairopt import (
 from .trace import EventStream
 
 _SENTINEL_DELTA = 1e-6
+
+# Boolean elements per (uppers, events, layers) block in the batched pair scans.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 class OracleSizeError(ValueError):
@@ -54,18 +58,39 @@ class MonotonicityReport:
         return not self.failures
 
 
+def _pair_counts_block(
+    matrix: np.ndarray, crit: np.ndarray, lower: float, uppers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """True/false positives at (lower, u) for each u in `uppers`.
+
+    Direct first-crossing evaluation of every event, one (k, n, L) block for
+    k uppers; no state is shared between pairs.
+    """
+    below = matrix <= lower
+    above = matrix[None, :, :] >= uppers[:, None, None]
+    hit = below | above
+    has_exit = hit.any(axis=2)
+    first = hit.argmax(axis=2)
+    rows = np.arange(len(matrix))
+    first_above = np.take_along_axis(above, first[:, :, None], axis=2)[:, :, 0]
+    predicted_critical = has_exit & first_above & ~below[rows, first]
+    tp = np.count_nonzero(predicted_critical & crit, axis=1)
+    fp = np.count_nonzero(predicted_critical & ~crit, axis=1)
+    return tp, fp
+
+
 def _pair_counts(matrix: np.ndarray, crit: np.ndarray, lower: float, upper: float) -> tuple[int, int]:
     """True/false positives by direct first-crossing evaluation of every event."""
-    below = matrix <= lower
-    above = matrix >= upper
-    hit = below | above
-    has_exit = hit.any(axis=1)
-    first = hit.argmax(axis=1)
-    rows = np.arange(len(matrix))
-    predicted_critical = has_exit & above[rows, first] & ~below[rows, first]
-    tp = int(np.count_nonzero(predicted_critical & crit))
-    fp = int(np.count_nonzero(predicted_critical & ~crit))
-    return tp, fp
+    tp, fp = _pair_counts_block(matrix, crit, lower, np.array([upper]))
+    return int(tp[0]), int(fp[0])
+
+
+def _upper_blocks(matrix: np.ndarray, values: list[float], lower_idx: int):
+    """Chunks of the uppers values[lower_idx:] as (offset, array) blocks."""
+    step = max(1, _BLOCK_ELEMENTS // max(matrix.size, 1))
+    uppers = np.asarray(values[lower_idx:])
+    for start in range(0, len(uppers), step):
+        yield lower_idx + start, uppers[start:start + step]
 
 
 def _candidates(matrix: np.ndarray) -> list[float]:
@@ -107,13 +132,18 @@ def brute_force_thresholds(
         raise OracleSizeError(f"{pair_count} pairs exceed the oracle budget")
 
     best: tuple[float, float, float] | None = None
-    for lower, upper in itertools.combinations_with_replacement(values, 2):
-        tp, fp = _pair_counts(matrix, crit, lower, upper)
-        if tp + fp > offload_budget:
-            continue
-        key = (tp / positives, lower, upper)
-        if best is None or key > best:
-            best = key
+    for a, lower in enumerate(values):
+        for offset, uppers in _upper_blocks(matrix, values, a):
+            tp, fp = _pair_counts_block(matrix, crit, lower, uppers)
+            within = np.flatnonzero(tp + fp <= offload_budget)
+            if len(within) == 0:
+                continue
+            top = tp[within].max()
+            # values ascend, so the last index with the top count has the largest upper
+            k = int(within[tp[within] == top][-1])
+            key = (int(top) / positives, lower, values[offset + k])
+            if best is None or key > best:
+                best = key
     assert best is not None  # the all-normal pair offloads nothing
     return ThresholdPair(best[1], best[2]), best[0]
 
@@ -134,10 +164,12 @@ def grid_best_utility(
     if grid_resolution * (grid_resolution + 1) // 2 > budget.max_candidate_pairs:
         raise OracleSizeError("grid exceeds the oracle budget")
     best = 0.0
-    for lower, upper in itertools.combinations_with_replacement(grid, 2):
-        tp, fp = _pair_counts(matrix, crit, lower, upper)
-        if tp + fp <= offload_budget:
-            best = max(best, tp / positives)
+    for a, lower in enumerate(grid):
+        for _, uppers in _upper_blocks(matrix, grid, a):
+            tp, fp = _pair_counts_block(matrix, crit, lower, uppers)
+            within = tp[tp + fp <= offload_budget]
+            if len(within):
+                best = max(best, int(within.max()) / positives)
     return best
 
 

@@ -8,10 +8,12 @@ so this module relies on pytest's default in-file execution order.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,13 +316,21 @@ def test_c09_compute_allocation_dp_is_exact():
                         f"{mismatches} exact-equality mismatches")
 
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def _pipeline(workdir):
+    # the child runs in a tmp directory, so a relative PYTHONPATH would not resolve
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+
     def run(args):
         result = subprocess.run(
             [sys.executable, "-m", "fairedge", *args],
             cwd=workdir,
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stderr
         return result.stdout

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,19 @@ from fairedge.cli import main
 from fairedge.scenario import read_bundle
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(args, cwd):
+    # the child runs in a tmp directory, so a relative PYTHONPATH would not resolve
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "fairedge", *args],
         cwd=cwd,
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +33,9 @@ from fairedge.fairopt import (
     solve_alternating,
     upper_bound,
     weighted_log_objective,
+    _assignment_value,
+    _min_bandwidths,
+    _SplitMemo,
 )
 from fairedge.link import ChannelState, EnergyModel, OffloadDemand
 from fairedge.scenario import random_scenario
@@ -84,6 +89,39 @@ def make_scenario(ues, ens, levels=2):
         power_cap_w=0.1,
         security_levels=levels,
     )
+
+
+def solver_inputs(scenario):
+    """Utility curves and per-user deadline bandwidths as a solve builds them."""
+    min_bw, _ = _min_bandwidths(scenario)
+    assert all(bw is not None for bw in min_bw)
+    total_units = sum(en.compute_units for en in scenario.ens)
+    curves = [utility_curve(ue.stream, min(total_units, len(ue.stream.traces)))
+              for ue in scenario.ues]
+    return curves, min_bw
+
+
+def fresh_assignment_value(assignment, scenario, curves, min_bw):
+    """(overloads, objective, units) with every node's split computed anew."""
+    units = [0] * len(scenario.ues)
+    overloads = 0
+    for j, en in enumerate(scenario.ens):
+        users = [i for i, node in enumerate(assignment) if node == j]
+        if not users:
+            continue
+        if sum(min_bw[i] for i in users) > en.bandwidth_hz:
+            overloads += 1
+        if en.power_pool_w is not None and len(users) * scenario.power_cap_w > en.power_pool_w:
+            overloads += 1
+        split = allocate_compute_dp(
+            [scenario.ues[i].weight for i in users], [curves[i] for i in users], en.compute_units
+        )
+        for i, w in zip(users, split):
+            units[i] = w
+    value = weighted_log_objective(
+        [ue.weight for ue in scenario.ues], [curves[i].value(units[i]) for i in range(len(units))]
+    )
+    return overloads, value, units
 
 
 class TestCheckFeasibility:
@@ -270,11 +308,10 @@ class TestAssignmentSearch:
         curves = [utility_curve(ue.stream, sum(en.compute_units for en in scenario.ens))
                   for ue in scenario.ues]
         x = assignment_search(scenario, curves, mode="local")
-        from fairedge.fairopt import _assignment_value, _min_bandwidths
-
         min_bw, _ = _min_bandwidths(scenario)
+        memo = _SplitMemo(scenario, curves)
         chosen = [int(np.argmax(x[i])) for i in range(3)]
-        over, value, _ = _assignment_value(chosen, scenario, curves, min_bw)
+        over, value, _ = _assignment_value(chosen, scenario, min_bw, memo)
         assert over == 0
         for i in range(3):
             for j in range(2):
@@ -284,7 +321,7 @@ class TestAssignmentSearch:
                 alt[i] = j
                 if scenario.ens[j].security_level > scenario.ues[i].security_level:
                     continue
-                o2, v2, _ = _assignment_value(alt, scenario, curves, min_bw)
+                o2, v2, _ = _assignment_value(alt, scenario, min_bw, memo)
                 assert o2 > 0 or v2 <= value + 1e-12
 
     def test_blocked_user_raises_with_its_index(self):
@@ -293,6 +330,53 @@ class TestAssignmentSearch:
         with pytest.raises(InfeasibleScenarioError) as err:
             assignment_search(scenario, curves)
         assert err.value.blocking_users == [1]
+
+    def test_memoised_value_matches_fresh_recomputation(self):
+        rng = np.random.default_rng(31)
+        for seed in range(4):
+            scenario = random_scenario(5, 3, 700 + seed, power_pool_probability=0.5)
+            curves, min_bw = solver_inputs(scenario)
+            n, m = len(scenario.ues), len(scenario.ens)
+            for mode in ("exhaustive", "local"):
+                memo = _SplitMemo(scenario, curves)
+                assignment_search(scenario, curves, mode, min_bandwidth=min_bw, _memo=memo)
+                for _ in range(40):
+                    assignment = [int(rng.integers(m)) for _ in range(n)]
+                    got = _assignment_value(assignment, scenario, min_bw, memo)
+                    assert got == fresh_assignment_value(assignment, scenario, curves, min_bw)
+
+    def test_exhaustive_matches_plain_enumeration_under_tight_bandwidth(self):
+        searched = 0
+        for seed in range(8):
+            base = random_scenario(5, 3, 800 + seed)
+            _, min_bw = solver_inputs(base)
+            # room for about two users per node, so many combinations overload
+            tight = 2.2 * float(np.median(min_bw))
+            scenario = dataclasses.replace(
+                base, ens=tuple(dataclasses.replace(en, bandwidth_hz=tight) for en in base.ens)
+            )
+            curves, _ = solver_inputs(scenario)
+            n, m = len(scenario.ues), len(scenario.ens)
+            best_value, best_combo, overloaded = None, None, 0
+            for combo in itertools.product(range(m), repeat=n):
+                if any(scenario.ens[j].security_level > scenario.ues[i].security_level
+                       for i, j in enumerate(combo)):
+                    continue
+                over, value, _ = fresh_assignment_value(combo, scenario, curves, min_bw)
+                if over:
+                    overloaded += 1
+                    continue
+                if best_value is None or value > best_value:
+                    best_value, best_combo = value, combo
+            assert overloaded > 0
+            if best_combo is None:
+                with pytest.raises(InfeasibleScenarioError):
+                    assignment_search(scenario, curves, min_bandwidth=min_bw)
+                continue
+            x = assignment_search(scenario, curves, min_bandwidth=min_bw)
+            assert [int(np.argmax(row)) for row in x] == list(best_combo)
+            searched += 1
+        assert searched >= 4
 
 
 class TestSolveAlternating:
@@ -315,6 +399,13 @@ class TestSolveAlternating:
             plan, report = solve_alternating(scenario)
             assert check_feasibility(plan, scenario) == []
             assert report.feasible
+
+    def test_one_pass_reports_a_single_iteration(self):
+        scenario = random_scenario(3, 2, 310)
+        for mode in ("exhaustive", "local"):
+            _, report = solve_alternating(scenario, SolveOptions(mode=mode))
+            assert report.iterations == 1
+            assert report.objective_history == (report.objective,)
 
     def test_history_is_non_decreasing(self):
         for seed in range(6):
@@ -392,6 +483,15 @@ class TestBounds:
             _, group_obj = oracle.brute_force_plan(sub)
             parts += group_obj
         assert total == pytest.approx(parts, abs=1e-9)
+
+    def test_solver_bandwidths_give_the_same_bounds(self):
+        for seed in range(4):
+            scenario = random_scenario(4, 2, 650 + seed)
+            _, min_bw = solver_inputs(scenario)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert lower_bound(scenario, _min_bw=min_bw) == lower_bound(scenario)
+            assert upper_bound(scenario, _min_bw=min_bw) == upper_bound(scenario)
 
     def test_upper_bound_dominates_sampled_feasible_plans(self):
         for seed in range(10):
