@@ -12,6 +12,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,15 +33,14 @@ from .exitpolicy import (
 from .fairopt import InfeasibleScenarioError, SolveOptions, allocate_compute_dp
 from .link import LinkError
 from .scenario import (
-    ScenarioConfig,
     ScenarioParseError,
-    UEConfig,
     build_bundle,
     bundle_to_dict,
     load_scenario,
     parse_document,
     random_scenario,
     random_scenario_config,
+    realize,
     serialize_document,
     write_bundle,
 )
@@ -67,32 +67,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     traces_dir.mkdir(parents=True, exist_ok=True)
 
     file_ues = []
-    trace_paths = []
     for i, ue in enumerate(config.ues):
-        stream = generate_stream(ue.generator.params, ue.generator.count)
         rel = f"traces/ue_{i:02d}.csv"
-        save_stream(stream, out_dir / rel)
-        trace_paths.append(rel)
-        file_ues.append(
-            UEConfig(
-                weight=ue.weight,
-                security_level=ue.security_level,
-                feature_size_bits=ue.feature_size_bits,
-                deadline_s=ue.deadline_s,
-                channel=ue.channel,
-                joules_per_access=ue.joules_per_access,
-                access_counts=ue.access_counts,
-                trace_file=rel,
-            )
-        )
-    file_config = ScenarioConfig(
-        security_levels=config.security_levels,
-        bandwidth_cap_hz=config.bandwidth_cap_hz,
-        power_cap_w=config.power_cap_w,
-        ues=tuple(file_ues),
-        ens=config.ens,
-        seed=config.seed,
-    )
+        save_stream(generate_stream(ue.generator.params, ue.generator.count), out_dir / rel)
+        file_ues.append(dataclasses.replace(ue, generator=None, trace_file=rel))
+    file_config = dataclasses.replace(config, ues=tuple(file_ues))
     scenario_path = out_dir / "scenario.json"
     scenario_path.write_text(
         json.dumps(serialize_document(file_config), sort_keys=True, indent=2) + "\n",
@@ -104,7 +83,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         {
             "command": "gen",
             "scenario": f"{args.out}/scenario.json",
-            "traces": trace_paths,
+            "traces": [ue.trace_file for ue in file_config.ues],
             "seed": args.seed,
         }
     )
@@ -118,16 +97,18 @@ def _timestamp(deterministic: bool) -> str | None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    path = Path(args.scenario)
+    config = parse_document(path.read_text(encoding="utf-8"))
+    scenario = realize(config, base_dir=path.parent)
     plan, report = fairopt.solve_alternating(scenario, SolveOptions(mode=args.mode))
     counts, metrics = [], []
     for ue, thr in zip(scenario.ues, plan.thresholds):
         c, m = evaluate(ue.stream, thr)
         counts.append(c)
         metrics.append(m)
-    config_doc = serialize_document(_reload_config(args.scenario))
     bundle = build_bundle(
-        config_doc, plan, report, counts, metrics, created_at=_timestamp(args.deterministic)
+        serialize_document(config), plan, report, counts, metrics,
+        created_at=_timestamp(args.deterministic),
     )
     if args.out:
         write_bundle(bundle, args.out)
@@ -138,10 +119,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     _emit(bundle_to_dict(bundle))
     return 0
-
-
-def _reload_config(path: str) -> ScenarioConfig:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

@@ -2,31 +2,32 @@
 
 A scenario document is JSON with explicit unit suffixes (Hz, W, bits,
 seconds, joules).  Each user carries exactly one trace source: a CSV file
-(resolved relative to the document) or generator settings.  Solver outputs
-are persisted as schema-versioned, digest-stamped JSON bundles.
+(resolved relative to the document) or generator settings.  Documents are
+validated against the published SCENARIO_SCHEMA; parsing and serialising
+are derived from the config dataclasses and one table of renamed fields.
+Solver outputs are persisted as schema-versioned, digest-stamped JSON
+bundles, encoded from the same dataclasses.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import math
+import types
+import typing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError, validators
 
 from .exitpolicy import ConfusionCounts, MetricsReport, ThresholdPair
-from .fairopt import (
-    AllocationPlan,
-    ENProfile,
-    Scenario,
-    SolveReport,
-    UEProfile,
-    UserDiagnostics,
-)
+from .fairopt import AllocationPlan, ENProfile, Scenario, SolveReport, UEProfile
 from .link import ChannelState, EnergyModel, LinkAllocation, OffloadDemand, secrecy_rate
 from .trace import GeneratorParams, generate_stream, load_stream
 
@@ -94,129 +95,194 @@ class ScenarioConfig:
     seed: int | None = None
 
 
-def _expect(mapping: Any, key: str, path: str) -> Any:
-    if not isinstance(mapping, dict):
-        raise ScenarioParseError("expected an object", path)
-    if key not in mapping:
-        raise ScenarioParseError("missing required field", f"{path}.{key}" if path else key)
-    return mapping[key]
+# Where a dataclass field sits in its JSON object when not under its own
+# name.  Parsing and serialising both read this table; () places a nested
+# dataclass's fields in the enclosing object itself.
+_DOC_PATHS: dict[type, dict[str, tuple[str, ...]]] = {
+    ChannelState: {
+        "noise_psd": ("noise_psd_w_per_hz",),
+        "eavesdropper_noise_psd": ("eavesdropper_noise_psd_w_per_hz",),
+    },
+    UEConfig: {
+        "joules_per_access": ("energy", "joules_per_access"),
+        "access_counts": ("energy", "access_counts"),
+        "trace_file": ("trace", "file"),
+        "generator": ("trace", "generator"),
+    },
+    GeneratorSpec: {"params": ()},
+}
 
 
-def _number(mapping: dict, key: str, path: str, minimum: float | None = None,
-            exclusive: bool = False) -> float:
-    value = _expect(mapping, key, path)
-    field = f"{path}.{key}" if path else key
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioParseError(f"expected a number, got {value!r}", field)
-    value = float(value)
-    if minimum is not None:
-        if exclusive and not value > minimum:
-            raise ScenarioParseError(f"must be > {minimum}, got {value}", field)
-        if not exclusive and not value >= minimum:
-            raise ScenarioParseError(f"must be >= {minimum}, got {value}", field)
+def _object(required: dict, optional: dict | None = None) -> dict:
+    return {
+        "type": "object",
+        "required": list(required),
+        "properties": {**required, **(optional or {})},
+    }
+
+
+_NUMBER = {"type": "number"}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 0}
+_LEVEL = {"type": "integer", "minimum": 1}
+
+# Published schema of a scenario document.  Its "number" excludes booleans,
+# NaN and ±Infinity and its "integer" excludes floats such as 3.0; a user's
+# or node's security_level must also not exceed security_levels, which
+# parse_document checks after the schema.
+SCENARIO_SCHEMA: dict = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    **_object(
+        {
+            "security_levels": _LEVEL,
+            "bandwidth_cap_hz": _NON_NEGATIVE,
+            "power_cap_w": _NON_NEGATIVE,
+            "ues": {
+                "type": "array",
+                "minItems": 1,
+                "items": _object({
+                    "weight": _POSITIVE,
+                    "security_level": _LEVEL,
+                    "feature_size_bits": _POSITIVE,
+                    "deadline_s": _POSITIVE,
+                    "channel": _object({
+                        "gain": _NON_NEGATIVE,
+                        "noise_psd_w_per_hz": _POSITIVE,
+                        "eavesdropper_gain": _NON_NEGATIVE,
+                        "eavesdropper_noise_psd_w_per_hz": _POSITIVE,
+                    }),
+                    "energy": _object({
+                        "joules_per_access": _NON_NEGATIVE,
+                        "access_counts": {"type": "array", "items": _COUNT},
+                    }),
+                    # exactly one trace source
+                    "trace": {
+                        "type": "object",
+                        "minProperties": 1,
+                        "maxProperties": 1,
+                        "additionalProperties": False,
+                        "properties": {
+                            "file": {"type": "string", "minLength": 1},
+                            "generator": _object({
+                                "layer_count": _LEVEL,
+                                "critical_prior": {"type": "number", "minimum": 0, "maximum": 1},
+                                "critical_drift": _NUMBER,
+                                "normal_drift": _NUMBER,
+                                "noise_std": _NON_NEGATIVE,
+                                "seed": _COUNT,
+                                "count": _COUNT,
+                            }),
+                        },
+                    },
+                }),
+            },
+            "ens": {
+                "type": "array",
+                "minItems": 1,
+                "items": _object(
+                    {"bandwidth_hz": _NON_NEGATIVE, "compute_units": _COUNT, "security_level": _LEVEL},
+                    {"power_pool_w": {"type": ["number", "null"], "minimum": 0}},
+                ),
+            },
+        },
+        {"seed": {"type": ["integer", "null"], "minimum": 0}},
+    ),
+}
+
+
+def _is_integer(checker, value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(checker, value) -> bool:
+    return _is_integer(checker, value) or isinstance(value, float) and math.isfinite(value)
+
+
+_SCENARIO_VALIDATOR = validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {"integer": _is_integer, "number": _is_number}
+    ),
+)(SCENARIO_SCHEMA)
+
+
+def _parse_error(error: ValidationError) -> ScenarioParseError:
+    """Map a schema error to the field path form ``ues[0].channel.gain``."""
+    keys, reason = list(error.absolute_path), error.message
+    if error.validator == "required":
+        keys.append(next(k for k in error.validator_value if k not in error.instance))
+        reason = "missing required field"
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    return ScenarioParseError(reason, path.lstrip("."))
+
+
+_field_types = functools.cache(typing.get_type_hints)
+
+
+_ABSENT = object()
+
+
+def _lookup(doc: dict, path: tuple[str, ...]) -> Any:
+    for key in path:
+        if key not in doc:
+            return _ABSENT
+        doc = doc[key]
+    return doc
+
+
+def _decode(kind: Any, value: Any) -> Any:
+    """Build a value of the annotated type ``kind`` from its JSON form.
+
+    Dataclass fields are read from their _DOC_PATHS location (absent ones
+    keep their defaults), tuples are rebuilt from lists, and JSON integers
+    in float fields become floats.
+    """
+    if value is None:
+        return None
+    args = [a for a in typing.get_args(kind) if a is not type(None)]
+    if isinstance(kind, types.UnionType):
+        kind = args[0]
+    if dataclasses.is_dataclass(kind):
+        paths, hints = _DOC_PATHS.get(kind, {}), _field_types(kind)
+        kwargs = {}
+        for f in dataclasses.fields(kind):
+            item = _lookup(value, paths.get(f.name, (f.name,)))
+            if item is not _ABSENT:
+                kwargs[f.name] = _decode(hints[f.name], item)
+        return kind(**kwargs)
+    if typing.get_origin(kind) is tuple:
+        return tuple(_decode(args[0], item) for item in value)
+    if kind is float and type(value) is int:
+        return float(value)
     return value
 
 
-def _integer(mapping: dict, key: str, path: str, minimum: int | None = None) -> int:
-    value = _expect(mapping, key, path)
-    field = f"{path}.{key}" if path else key
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioParseError(f"expected an integer, got {value!r}", field)
-    if minimum is not None and value < minimum:
-        raise ScenarioParseError(f"must be >= {minimum}, got {value}", field)
-    return value
+def _encode(value: Any) -> Any:
+    """JSON form of a dataclass tree, the inverse of _decode.
 
-
-def _parse_channel(doc: Any, path: str) -> ChannelState:
-    gain = _number(doc, "gain", path, minimum=0.0)
-    noise = _number(doc, "noise_psd_w_per_hz", path, minimum=0.0, exclusive=True)
-    eav_gain = _number(doc, "eavesdropper_gain", path, minimum=0.0)
-    eav_noise = _number(doc, "eavesdropper_noise_psd_w_per_hz", path, minimum=0.0, exclusive=True)
-    return ChannelState(
-        gain=gain,
-        noise_psd=noise,
-        eavesdropper_gain=eav_gain,
-        eavesdropper_noise_psd=eav_noise,
-    )
-
-
-def _parse_generator(doc: Any, path: str) -> GeneratorSpec:
-    params = GeneratorParams(
-        layer_count=_integer(doc, "layer_count", path, minimum=1),
-        critical_prior=_number(doc, "critical_prior", path, minimum=0.0),
-        critical_drift=_number(doc, "critical_drift", path),
-        normal_drift=_number(doc, "normal_drift", path),
-        noise_std=_number(doc, "noise_std", path, minimum=0.0),
-        seed=_integer(doc, "seed", path, minimum=0),
-    )
-    if params.critical_prior > 1.0:
-        raise ScenarioParseError("must be <= 1", f"{path}.critical_prior")
-    return GeneratorSpec(params=params, count=_integer(doc, "count", path, minimum=0))
-
-
-def _parse_ue(doc: Any, security_levels: int, path: str) -> UEConfig:
-    weight = _number(doc, "weight", path, minimum=0.0, exclusive=True)
-    level = _integer(doc, "security_level", path, minimum=1)
-    if level > security_levels:
-        raise ScenarioParseError(
-            f"must be <= security_levels ({security_levels})", f"{path}.security_level"
-        )
-    feature_bits = _number(doc, "feature_size_bits", path, minimum=0.0, exclusive=True)
-    deadline = _number(doc, "deadline_s", path, minimum=0.0, exclusive=True)
-    channel = _parse_channel(_expect(doc, "channel", path), f"{path}.channel")
-    energy_doc = _expect(doc, "energy", path)
-    gamma = _number(energy_doc, "joules_per_access", f"{path}.energy", minimum=0.0)
-    counts_raw = _expect(energy_doc, "access_counts", f"{path}.energy")
-    if not isinstance(counts_raw, list) or any(
-        isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in counts_raw
-    ):
-        raise ScenarioParseError(
-            "expected a list of non-negative integers", f"{path}.energy.access_counts"
-        )
-    trace_doc = _expect(doc, "trace", path)
-    if not isinstance(trace_doc, dict) or len(trace_doc) != 1:
-        raise ScenarioParseError(
-            "expected exactly one of 'file' or 'generator'", f"{path}.trace"
-        )
-    trace_file = None
-    generator = None
-    if "file" in trace_doc:
-        if not isinstance(trace_doc["file"], str) or not trace_doc["file"]:
-            raise ScenarioParseError("expected a file path string", f"{path}.trace.file")
-        trace_file = trace_doc["file"]
-    elif "generator" in trace_doc:
-        generator = _parse_generator(trace_doc["generator"], f"{path}.trace.generator")
-    else:
-        raise ScenarioParseError(
-            "expected exactly one of 'file' or 'generator'", f"{path}.trace"
-        )
-    return UEConfig(
-        weight=weight,
-        security_level=level,
-        feature_size_bits=feature_bits,
-        deadline_s=deadline,
-        channel=channel,
-        joules_per_access=gamma,
-        access_counts=tuple(counts_raw),
-        trace_file=trace_file,
-        generator=generator,
-    )
-
-
-def _parse_en(doc: Any, security_levels: int, path: str) -> ENConfig:
-    bandwidth = _number(doc, "bandwidth_hz", path, minimum=0.0)
-    units = _integer(doc, "compute_units", path, minimum=0)
-    level = _integer(doc, "security_level", path, minimum=1)
-    if level > security_levels:
-        raise ScenarioParseError(
-            f"must be <= security_levels ({security_levels})", f"{path}.security_level"
-        )
-    pool = None
-    if "power_pool_w" in doc and doc["power_pool_w"] is not None:
-        pool = _number(doc, "power_pool_w", path, minimum=0.0)
-    return ENConfig(
-        bandwidth_hz=bandwidth, compute_units=units, security_level=level, power_pool_w=pool
-    )
+    Fields left at a None default are omitted, and tuples become lists,
+    which jsonschema's "array" requires.
+    """
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    doc: dict[str, Any] = {}
+    paths = _DOC_PATHS.get(type(value), {})
+    for f in dataclasses.fields(value):
+        item = getattr(value, f.name)
+        if item is None and f.default is None:
+            continue
+        path = paths.get(f.name, (f.name,))
+        if not path:
+            doc.update(_encode(item))
+            continue
+        target = doc
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = _encode(item)
+    return doc
 
 
 def parse_document(document: str | dict) -> ScenarioConfig:
@@ -230,95 +296,23 @@ def parse_document(document: str | dict) -> ScenarioConfig:
             document = json.loads(document)
         except json.JSONDecodeError as err:
             raise ScenarioParseError(f"invalid JSON: {err}") from None
-    if not isinstance(document, dict):
-        raise ScenarioParseError("document must be a JSON object")
-
-    levels = _integer(document, "security_levels", "", minimum=1)
-    bandwidth_cap = _number(document, "bandwidth_cap_hz", "", minimum=0.0)
-    power_cap = _number(document, "power_cap_w", "", minimum=0.0)
-    seed = None
-    if "seed" in document and document["seed"] is not None:
-        seed = _integer(document, "seed", "", minimum=0)
-
-    ues_doc = _expect(document, "ues", "")
-    ens_doc = _expect(document, "ens", "")
-    if not isinstance(ues_doc, list) or not ues_doc:
-        raise ScenarioParseError("expected a non-empty list", "ues")
-    if not isinstance(ens_doc, list) or not ens_doc:
-        raise ScenarioParseError("expected a non-empty list", "ens")
-
-    try:
-        ues = tuple(_parse_ue(doc, levels, f"ues[{i}]") for i, doc in enumerate(ues_doc))
-        ens = tuple(_parse_en(doc, levels, f"ens[{i}]") for i, doc in enumerate(ens_doc))
-    except ValueError as err:
-        if isinstance(err, ScenarioParseError):
-            raise
-        raise ScenarioParseError(str(err)) from None
-
-    return ScenarioConfig(
-        security_levels=levels,
-        bandwidth_cap_hz=bandwidth_cap,
-        power_cap_w=power_cap,
-        ues=ues,
-        ens=ens,
-        seed=seed,
-    )
+    error = next(_SCENARIO_VALIDATOR.iter_errors(document), None)
+    if error is not None:
+        raise _parse_error(error)
+    config = _decode(ScenarioConfig, document)
+    for key in ("ues", "ens"):
+        for i, item in enumerate(getattr(config, key)):
+            if item.security_level > config.security_levels:
+                raise ScenarioParseError(
+                    f"must be <= security_levels ({config.security_levels})",
+                    f"{key}[{i}].security_level",
+                )
+    return config
 
 
 def serialize_document(config: ScenarioConfig) -> dict:
     """Canonical document for a config; parse(serialize(c)) == c."""
-    doc: dict[str, Any] = {
-        "security_levels": config.security_levels,
-        "bandwidth_cap_hz": config.bandwidth_cap_hz,
-        "power_cap_w": config.power_cap_w,
-        "ues": [],
-        "ens": [],
-    }
-    if config.seed is not None:
-        doc["seed"] = config.seed
-    for ue in config.ues:
-        entry: dict[str, Any] = {
-            "weight": ue.weight,
-            "security_level": ue.security_level,
-            "feature_size_bits": ue.feature_size_bits,
-            "deadline_s": ue.deadline_s,
-            "channel": {
-                "gain": ue.channel.gain,
-                "noise_psd_w_per_hz": ue.channel.noise_psd,
-                "eavesdropper_gain": ue.channel.eavesdropper_gain,
-                "eavesdropper_noise_psd_w_per_hz": ue.channel.eavesdropper_noise_psd,
-            },
-            "energy": {
-                "joules_per_access": ue.joules_per_access,
-                "access_counts": list(ue.access_counts),
-            },
-        }
-        if ue.trace_file is not None:
-            entry["trace"] = {"file": ue.trace_file}
-        else:
-            spec = ue.generator
-            entry["trace"] = {
-                "generator": {
-                    "layer_count": spec.params.layer_count,
-                    "critical_prior": spec.params.critical_prior,
-                    "critical_drift": spec.params.critical_drift,
-                    "normal_drift": spec.params.normal_drift,
-                    "noise_std": spec.params.noise_std,
-                    "seed": spec.params.seed,
-                    "count": spec.count,
-                }
-            }
-        doc["ues"].append(entry)
-    for en in config.ens:
-        entry = {
-            "bandwidth_hz": en.bandwidth_hz,
-            "compute_units": en.compute_units,
-            "security_level": en.security_level,
-        }
-        if en.power_pool_w is not None:
-            entry["power_pool_w"] = en.power_pool_w
-        doc["ens"].append(entry)
-    return doc
+    return _encode(config)
 
 
 def realize(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario:
@@ -609,52 +603,20 @@ def build_bundle(
 
 
 def bundle_to_dict(bundle: ResultBundle) -> dict:
+    plan = bundle.plan
     payload: dict[str, Any] = {
         "schema_version": bundle.schema_version,
         "config": bundle.config,
         "config_digest": bundle.config_digest,
         "plan": {
-            "assignment": bundle.plan.assignment.astype(int).tolist(),
-            "bandwidth_hz": bundle.plan.bandwidth_hz.tolist(),
-            "power_w": bundle.plan.power_w.tolist(),
-            "compute_units": bundle.plan.compute_units.astype(int).tolist(),
-            "thresholds": [
-                {"lower": thr.lower, "upper": thr.upper} for thr in bundle.plan.thresholds
-            ],
+            "assignment": plan.assignment.astype(int).tolist(),
+            "bandwidth_hz": plan.bandwidth_hz.tolist(),
+            "power_w": plan.power_w.tolist(),
+            "compute_units": plan.compute_units.astype(int).tolist(),
+            "thresholds": _encode(plan.thresholds),
         },
-        "report": {
-            "objective": bundle.report.objective,
-            "per_user_utility": list(bundle.report.per_user_utility),
-            "iterations": bundle.report.iterations,
-            "feasible": bundle.report.feasible,
-            "lower_bound": bundle.report.lower_bound,
-            "upper_bound": bundle.report.upper_bound,
-            "relative_gap_pct": bundle.report.relative_gap_pct,
-            "objective_history": list(bundle.report.objective_history),
-            "diagnostics": [
-                {
-                    "user": d.user,
-                    "local_energy_j": d.local_energy_j,
-                    "offload_time_s": d.offload_time_s,
-                    "offload_energy_j": d.offload_energy_j,
-                }
-                for d in bundle.report.diagnostics
-            ],
-        },
-        "metrics": [
-            {
-                "tp": c.tp,
-                "fp": c.fp,
-                "tn": c.tn,
-                "fn": c.fn,
-                "car": m.car,
-                "fpr": m.fpr,
-                "fnr": m.fnr,
-                "ofr": m.ofr,
-                "utility": m.utility,
-            }
-            for c, m in zip(bundle.counts, bundle.metrics)
-        ],
+        "report": _encode(bundle.report),
+        "metrics": [{**_encode(c), **_encode(m)} for c, m in zip(bundle.counts, bundle.metrics)],
     }
     if bundle.created_at is not None:
         payload["created_at"] = bundle.created_at
@@ -682,45 +644,15 @@ def bundle_from_dict(payload: dict, verify_digest: bool = True) -> ResultBundle:
         bandwidth_hz=np.asarray(plan_doc["bandwidth_hz"], dtype=float),
         power_w=np.asarray(plan_doc["power_w"], dtype=float),
         compute_units=np.asarray(plan_doc["compute_units"], dtype=int),
-        thresholds=tuple(
-            ThresholdPair(t["lower"], t["upper"]) for t in plan_doc["thresholds"]
-        ),
-    )
-    rep = payload["report"]
-    report = SolveReport(
-        objective=rep["objective"],
-        per_user_utility=tuple(rep["per_user_utility"]),
-        iterations=rep["iterations"],
-        feasible=rep["feasible"],
-        lower_bound=rep["lower_bound"],
-        upper_bound=rep["upper_bound"],
-        relative_gap_pct=rep["relative_gap_pct"],
-        objective_history=tuple(rep["objective_history"]),
-        diagnostics=tuple(
-            UserDiagnostics(
-                user=d["user"],
-                local_energy_j=d["local_energy_j"],
-                offload_time_s=d["offload_time_s"],
-                offload_energy_j=d["offload_energy_j"],
-            )
-            for d in rep["diagnostics"]
-        ),
-    )
-    counts = tuple(
-        ConfusionCounts(tp=m["tp"], fp=m["fp"], tn=m["tn"], fn=m["fn"])
-        for m in payload["metrics"]
-    )
-    metrics = tuple(
-        MetricsReport(car=m["car"], fpr=m["fpr"], fnr=m["fnr"], ofr=m["ofr"], utility=m["utility"])
-        for m in payload["metrics"]
+        thresholds=_decode(tuple[ThresholdPair, ...], plan_doc["thresholds"]),
     )
     return ResultBundle(
         config=payload["config"],
         config_digest=payload["config_digest"],
         plan=plan,
-        report=report,
-        counts=counts,
-        metrics=metrics,
+        report=_decode(SolveReport, payload["report"]),
+        counts=_decode(tuple[ConfusionCounts, ...], payload["metrics"]),
+        metrics=_decode(tuple[MetricsReport, ...], payload["metrics"]),
         created_at=payload.get("created_at"),
     )
 

@@ -189,6 +189,19 @@ class TestMinBandwidthForDeadline:
         with pytest.raises(InsecureLinkError):
             min_bandwidth_for_deadline(ch, 0.1, demand, 2e6)
 
+    def test_non_monotone_probe_falls_back_to_a_feasible_bandwidth(self):
+        # Far above gP/N0 the rate b*log2(1 + gP/(N0*b)) loses precision, so
+        # the 64-point probe sees the secure rate dip and the grid fallback runs.
+        ch = ChannelState(1e-9, 1e-13, 5e-10, 1e-13)
+        power, cap = 1e-3, 1e9
+        probe = [secrecy_rate(LinkAllocation(cap * (i + 1) / 64, power), ch) for i in range(64)]
+        assert any(b < a - 1e-9 * max(abs(a), 1.0) for a, b in zip(probe, probe[1:]))
+        required = 0.5 * secrecy_rate(LinkAllocation(cap, power), ch)
+        demand = OffloadDemand(feature_size_bits=required * 1.0, deadline_s=1.0)
+        b = min_bandwidth_for_deadline(ch, power, demand, cap)
+        assert 0.0 < b <= cap
+        assert secrecy_rate(LinkAllocation(b, power), ch) >= required
+
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             min_bandwidth_for_deadline(

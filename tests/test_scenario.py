@@ -1,12 +1,18 @@
+import copy
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
+from fairedge import cli
 from fairedge.fairopt import SolveOptions, solve_alternating
 from fairedge.exitpolicy import evaluate
 from fairedge.scenario import (
     BUNDLE_SCHEMA,
+    SCENARIO_SCHEMA,
     BundleSchemaError,
     ScenarioParseError,
     build_bundle,
@@ -102,6 +108,24 @@ class TestParseScenario:
         assert json.dumps(doc, sort_keys=True) == json.dumps(
             serialize_document(parse_document(doc)), sort_keys=True
         )
+        Draft202012Validator(SCENARIO_SCHEMA).validate(doc)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_configs_round_trip_in_both_trace_forms(self, seed):
+        config = random_scenario_config(3, 2, seed, power_pool_probability=0.5)
+        file_config = dataclasses.replace(
+            config,
+            seed=None,
+            ues=tuple(
+                dataclasses.replace(ue, generator=None, trace_file=f"traces/ue_{i:02d}.csv")
+                for i, ue in enumerate(config.ues)
+            ),
+        )
+        for form in (config, file_config):
+            doc = serialize_document(form)
+            Draft202012Validator(SCENARIO_SCHEMA).validate(doc)
+            assert parse_document(doc) == form
+            assert parse_document(json.dumps(doc)) == form
 
     def test_invalid_json_text_rejected(self):
         with pytest.raises(ScenarioParseError, match="invalid JSON"):
@@ -123,6 +147,171 @@ class TestParseScenario:
         scenario = load_scenario(path)
         assert len(scenario.ues[0].stream.traces) == 10
         assert scenario.ues[0].stream.layer_count == 2
+
+
+_DELETE = object()
+
+
+def _field_paths(node, prefix=()):
+    """Key paths of every field of a document, parents before children."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _field_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _field_paths(value, prefix + (i,))
+
+
+def _dotted(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def _edited(keys, value):
+    doc = copy.deepcopy(MINIMAL_DOC)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    return doc
+
+
+_UE = ("ues", 0)
+_CHANNEL = _UE + ("channel",)
+_GEN = _UE + ("trace", "generator")
+_EN = ("ens", 0)
+
+# Every field of MINIMAL_DOC missing; dropping trace.generator leaves a trace
+# with zero keys, which has its own case below.
+_MISSING = [(keys, _DELETE) for keys in _field_paths(MINIMAL_DOC) if keys[-1] != "generator"]
+
+_BAD_VALUES = [
+    # bool where a number is expected
+    (("bandwidth_cap_hz",), True),
+    (_UE + ("weight",), False),
+    (_CHANNEL + ("gain",), True),
+    (_GEN + ("critical_drift",), True),
+    (_EN + ("power_pool_w",), True),
+    # a float (even a whole one) where an integer is expected
+    (("security_levels",), 2.0),
+    (("seed",), 1.0),
+    (_EN + ("compute_units",), 3.0),
+    (_UE + ("security_level",), 1.0),
+    (_GEN + ("count",), 20.0),
+    (_GEN + ("seed",), 7.0),
+    (_UE + ("energy", "access_counts"), [1000, 2.0]),
+    (_UE + ("energy", "access_counts"), [True]),
+    # other types
+    (("ues",), {"weight": 1.0}),
+    (_UE, "not an object"),
+    (_CHANNEL, [1e-5]),
+    (_UE + ("weight",), "1.0"),
+    (_UE + ("energy", "access_counts"), 1000),
+    # bounds
+    (_UE + ("weight",), 0),
+    (_UE + ("weight",), -1.0),
+    (_UE + ("feature_size_bits",), 0.0),
+    (_UE + ("deadline_s",), 0.0),
+    (_CHANNEL + ("gain",), -1e-9),
+    (_CHANNEL + ("noise_psd_w_per_hz",), 0.0),
+    (_CHANNEL + ("eavesdropper_noise_psd_w_per_hz",), 0.0),
+    (_UE + ("energy", "joules_per_access"), -1e-9),
+    (_UE + ("energy", "access_counts"), [-1]),
+    (_GEN + ("count",), -1),
+    (_GEN + ("seed",), -1),
+    (_GEN + ("layer_count",), 0),
+    (_GEN + ("noise_std",), -0.1),
+    (_GEN + ("critical_prior",), 1.5),
+    (_GEN + ("critical_prior",), -0.1),
+    (_EN + ("compute_units",), -1),
+    (_EN + ("bandwidth_hz",), -1.0),
+    (_EN + ("power_pool_w",), -0.5),
+    (("security_levels",), 0),
+    (("bandwidth_cap_hz",), -1.0),
+    (("power_cap_w",), -1.0),
+    (("seed",), -1),
+    # a level above security_levels
+    (_UE + ("security_level",), 3),
+    (_EN + ("security_level",), 3),
+    # trace sources: zero keys, two keys, an unknown key, a bad file name
+    (_UE + ("trace",), {}),
+    (_UE + ("trace",), {"file": "a.csv", "generator": MINIMAL_DOC["ues"][0]["trace"]["generator"]}),
+    (_UE + ("trace",), {"stream": "a.csv"}),
+    (_UE + ("trace",), {"file": ""}),
+    (_UE + ("trace",), {"file": 3}),
+    # empty user and node lists
+    (("ues",), []),
+    (("ens",), []),
+]
+
+
+class TestDocumentValidation:
+    @pytest.mark.parametrize(
+        "keys, value", _MISSING + _BAD_VALUES, ids=lambda v: _dotted(v) if isinstance(v, tuple) else None
+    )
+    def test_single_defect_is_rejected_at_its_path(self, keys, value):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_document(_edited(keys, value))
+        # the error names the field itself or one key or element below it
+        parent = re.sub(r"(\.[^.\[]+|\[\d+\])$", "", err.value.path)
+        assert _dotted(keys) in (err.value.path, parent)
+        if value is _DELETE:
+            assert "missing required field" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("seed",), None),
+            (_EN + ("power_pool_w",), None),
+            (("seed",), 0),
+            (_EN + ("power_pool_w",), 0.0),
+            (_EN + ("compute_units",), 0),
+            (_EN + ("bandwidth_hz",), 0),
+            (_GEN + ("critical_prior",), 1),
+            (_GEN + ("count",), 0),
+            (_CHANNEL + ("eavesdropper_gain",), 0),
+            (_UE + ("energy", "access_counts"), []),
+            # keys outside a trace source are not checked
+            (("comment",), "ignored"),
+            (_UE + ("name",), "ue-0"),
+            (_CHANNEL + ("unit",), "linear"),
+        ],
+        ids=lambda v: _dotted(v) if isinstance(v, tuple) else None,
+    )
+    def test_edge_values_are_accepted(self, keys, value):
+        parse_document(_edited(keys, value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("bandwidth_cap_hz",),
+            _UE + ("weight",),
+            _CHANNEL + ("eavesdropper_gain",),
+            _GEN + ("critical_drift",),
+            _GEN + ("normal_drift",),
+            _EN + ("power_pool_w",),
+        ],
+        ids=_dotted,
+    )
+    def test_non_finite_numbers_are_rejected(self, keys, value, tmp_path, capsys):
+        doc = _edited(keys, value)
+        with pytest.raises(ScenarioParseError) as err:
+            parse_document(doc)
+        assert err.value.path == _dotted(keys)
+        # json.dumps writes NaN and Infinity, which json.loads accepts back
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["solve", str(path)]) == 2
+        assert _dotted(keys) in capsys.readouterr().err
+
+    def test_integers_in_number_fields_are_stored_as_floats(self):
+        config = parse_document(_edited(_UE + ("weight",), 2))
+        assert config.ues[0].weight == 2.0 and type(config.ues[0].weight) is float
+        assert type(config.ens[0].compute_units) is int
 
 
 class TestRandomScenario:
