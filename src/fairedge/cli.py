@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -217,19 +216,12 @@ def _suite_dp(seed: int) -> tuple[bool, str]:
                 )
             )
         split = allocate_compute_dp(weights, curves, capacity)
-        value = sum(
-            w * math.log(max(c.value(u), fairopt.LOG_UTILITY_FLOOR))
-            for w, c, u in zip(weights, curves, split)
+        value = fairopt.weighted_log_objective(weights, [c.value(u) for c, u in zip(curves, split)])
+        best = max(
+            fairopt.weighted_log_objective(weights, [c.value(u) for c, u in zip(curves, combo)])
+            for combo in itertools.product(range(capacity + 1), repeat=users)
+            if sum(combo) <= capacity
         )
-        best = -math.inf
-        for combo in itertools.product(range(capacity + 1), repeat=users):
-            if sum(combo) > capacity:
-                continue
-            v = sum(
-                w * math.log(max(c.value(u), fairopt.LOG_UTILITY_FLOOR))
-                for w, c, u in zip(weights, curves, combo)
-            )
-            best = max(best, v)
         if not value == best:
             mismatches += 1
     return mismatches == 0, f"10 instances, {mismatches} mismatches"

@@ -11,12 +11,15 @@ per-user budget-indexed utility curves, with deadline feasibility handled
 independently by a minimum-bandwidth search at full transmit power.  That
 reduction drives the solver, the grouped bound and the fully relaxed bound
 alike.  The curves never change once built, so the solver needs a single
-assignment search; within it each per-node compute split is computed once
-per (capacity, user set) and reused.
+assignment search.  One per-solve state, shared by that search and both
+bounds, holds each user's deadline bandwidth, feasible edge nodes, curve and
+weighted log utilities, and computes each compute split once per (capacity,
+user set).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -359,71 +362,6 @@ def _min_bandwidth(scenario: Scenario, ue: UEProfile) -> tuple[float | None, str
         return None, "deadline unreachable within the bandwidth cap"
 
 
-def _min_bandwidths(scenario: Scenario) -> tuple[list[float | None], list[str | None]]:
-    """Per-user minimum deadline-meeting bandwidth at full power, or failure cause."""
-    results = [_min_bandwidth(scenario, ue) for ue in scenario.ues]
-    return [need for need, _ in results], [cause for _, cause in results]
-
-
-def _feasible_en_sets(scenario: Scenario, min_bw: list[float | None]) -> list[list[int]]:
-    sets: list[list[int]] = []
-    for i, ue in enumerate(scenario.ues):
-        options = []
-        if min_bw[i] is not None:
-            for j, en in enumerate(scenario.ens):
-                if en.security_level > ue.security_level:
-                    continue
-                if min_bw[i] > en.bandwidth_hz:
-                    continue
-                if en.power_pool_w is not None and scenario.power_cap_w > en.power_pool_w:
-                    continue
-                options.append(j)
-        sets.append(options)
-    return sets
-
-
-def _build_curves(scenario: Scenario, max_units: int) -> list[UtilityCurve]:
-    return [
-        utility_curve(ue.stream, min(max_units, len(ue.stream.traces)))
-        for ue in scenario.ues
-    ]
-
-
-class _SplitMemo:
-    """Per-solve memo of per-node compute splits.
-
-    Weights and curves are fixed for a solve, so a node's split depends only
-    on its capacity and on which users share it: splits are keyed by
-    (capacity, user bitmask) and each is computed once by
-    `allocate_compute_dp`.  Objectives are summed in user order from a
-    per-user table of weighted log utilities, which gives the same floats as
-    `weighted_log_objective`, so tie-breaks between assignments are unchanged.
-    """
-
-    def __init__(self, scenario: Scenario, curves: Sequence[UtilityCurve]):
-        self._weights = [ue.weight for ue in scenario.ues]
-        self._curves = curves
-        top = max((en.compute_units for en in scenario.ens), default=0)
-        self._log_values = [
-            [w * math.log(max(curve.value(k), LOG_UTILITY_FLOOR)) for k in range(top + 1)]
-            for w, curve in zip(self._weights, curves)
-        ]
-        self._splits: dict[tuple[int, int], list[int]] = {}
-
-    def split(self, users: Sequence[int], capacity: int) -> list[int]:
-        key = (capacity, sum(1 << i for i in users))
-        split = self._splits.get(key)
-        if split is None:
-            split = allocate_compute_dp(
-                [self._weights[i] for i in users], [self._curves[i] for i in users], capacity
-            )
-            self._splits[key] = split
-        return split
-
-    def objective(self, units: Sequence[int]) -> float:
-        return sum(row[k] for row, k in zip(self._log_values, units))
-
-
 def _node_groups(assignment: Sequence[int], m: int) -> list[list[int]]:
     """Users of each edge node, in ascending user order."""
     groups: list[list[int]] = [[] for _ in range(m)]
@@ -432,51 +370,125 @@ def _node_groups(assignment: Sequence[int], m: int) -> list[list[int]]:
     return groups
 
 
-def _overloads(
-    groups: Sequence[Sequence[int]], scenario: Scenario, min_bw: Sequence[float | None]
-) -> int:
-    """Edge-node bandwidth and power-pool capacities exceeded by the groups."""
-    count = 0
-    for users, en in zip(groups, scenario.ens):
-        if not users:
-            continue
-        if sum(min_bw[i] for i in users) > en.bandwidth_hz:
-            count += 1
-        if en.power_pool_w is not None and len(users) * scenario.power_cap_w > en.power_pool_w:
-            count += 1
-    return count
+class _SolveState:
+    """Per-user facts of one scenario and the memo of its compute splits.
+
+    Built once per solve and read by the assignment search and both bounds.
+    Each user is bisected once for its deadline bandwidth `min_bw` (or the
+    failure `causes`), which fixes its security- and bandwidth-feasible
+    edge nodes.  The curves (the caller's, or built on first use) and a
+    per-user table of `w*log(max(u(k), floor))` for k = 0..total units are
+    fixed for the solve, so a split depends only on the capacity and the
+    users sharing it: splits are keyed by (capacity, users) and each is
+    computed once by `allocate_compute_dp`.  Objectives are summed from
+    the table in user order, the same floats as `weighted_log_objective`.
+    """
+
+    def __init__(self, scenario: Scenario, curves: Sequence[UtilityCurve] | None = None):
+        self.scenario = scenario
+        self.weights = [ue.weight for ue in scenario.ues]
+        self.total_units = sum(en.compute_units for en in scenario.ens)
+        needs = [_min_bandwidth(scenario, ue) for ue in scenario.ues]
+        self.min_bw = [need for need, _ in needs]
+        self.causes = [cause for _, cause in needs]
+        self.feasible = [
+            [
+                j for j, en in enumerate(scenario.ens)
+                if not (
+                    en.security_level > ue.security_level
+                    or need > en.bandwidth_hz
+                    or en.power_pool_w is not None and scenario.power_cap_w > en.power_pool_w
+                )
+            ]
+            if need is not None else []
+            for ue, need in zip(scenario.ues, self.min_bw)
+        ]
+        if curves is not None:
+            self.curves = curves
+        self._splits: dict[tuple[int, int], list[int]] = {}
+
+    @functools.cached_property
+    def curves(self) -> Sequence[UtilityCurve]:
+        return [
+            utility_curve(ue.stream, min(self.total_units, len(ue.stream.traces)))
+            for ue in self.scenario.ues
+        ]
+
+    @functools.cached_property
+    def _log_values(self) -> list[list[float]]:
+        return [
+            [w * math.log(max(curve.value(k), LOG_UTILITY_FLOOR)) for k in range(self.total_units + 1)]
+            for w, curve in zip(self.weights, self.curves)
+        ]
+
+    def blocked(self) -> list[int]:
+        """Users with no feasible edge node."""
+        return [i for i, options in enumerate(self.feasible) if not options]
+
+    def split(self, users: Sequence[int], capacity: int) -> list[int]:
+        """Exact compute split of `capacity` among `users` (ascending)."""
+        key = (capacity, tuple(users))
+        split = self._splits.get(key)
+        if split is None:
+            split = allocate_compute_dp(
+                [self.weights[i] for i in users], [self.curves[i] for i in users], capacity
+            )
+            self._splits[key] = split
+        return split
+
+    def overloads(self, groups: Sequence[Sequence[int]]) -> int:
+        """Edge-node bandwidth and power-pool capacities exceeded by the groups."""
+        count = 0
+        min_bw, power_cap = self.min_bw, self.scenario.power_cap_w
+        for users, en in zip(groups, self.scenario.ens):
+            if not users:
+                continue
+            if sum(min_bw[i] for i in users) > en.bandwidth_hz:
+                count += 1
+            if en.power_pool_w is not None and len(users) * power_cap > en.power_pool_w:
+                count += 1
+        return count
+
+    def value(self, groups: Sequence[Sequence[int]]) -> tuple[float, list[int]]:
+        """(objective, per-user compute units) with each node's units split exactly."""
+        units = [0] * len(self.weights)
+        for users, en in zip(groups, self.scenario.ens):
+            if users:
+                for i, w in zip(users, self.split(users, en.compute_units)):
+                    units[i] = w
+        return sum(row[k] for row, k in zip(self._log_values, units)), units
+
+    def pooled(self, users: Sequence[int], nodes: Sequence[ENProfile]) -> float:
+        """Value of `users` sharing the pooled capacities of `nodes`.
+
+        Users are admitted greedily by ascending bandwidth need; users whose
+        link fails or who do not fit the pooled bandwidth/power contribute
+        the floor utility.
+        """
+        power_cap = self.scenario.power_cap_w
+        pools = [en.power_pool_w for en in nodes]
+        remaining_power = None if not nodes or None in pools else float(sum(pools))
+        remaining_bw = float(sum(en.bandwidth_hz for en in nodes))
+        floored = [i for i in users if self.min_bw[i] is None]
+        served: list[int] = []
+        for need, i in sorted((self.min_bw[i], i) for i in users if self.min_bw[i] is not None):
+            if need > remaining_bw or remaining_power is not None and power_cap > remaining_power:
+                floored.append(i)
+                continue
+            served.append(i)
+            remaining_bw -= need
+            if remaining_power is not None:
+                remaining_power -= power_cap
+        served.sort()
+        split = self.split(served, int(sum(en.compute_units for en in nodes)))
+        total = sum(self._log_values[i][w] for i, w in zip(served, split))
+        total += sum(self.weights[i] * math.log(LOG_UTILITY_FLOOR) for i in floored)
+        return total
 
 
-def _split_value(
-    groups: Sequence[Sequence[int]], scenario: Scenario, memo: _SplitMemo
-) -> tuple[float, list[int]]:
-    """(objective, per-user compute units) with each node's units split exactly."""
-    units = [0] * len(scenario.ues)
-    for users, en in zip(groups, scenario.ens):
-        if users:
-            for i, w in zip(users, memo.split(users, en.compute_units)):
-                units[i] = w
-    return memo.objective(units), units
-
-
-def _assignment_value(
-    assignment: Sequence[int],
-    scenario: Scenario,
-    min_bw: Sequence[float | None],
-    memo: _SplitMemo,
-) -> tuple[int, float, list[int]]:
-    """(capacity overloads, objective, per-user compute units) for one assignment."""
-    groups = _node_groups(assignment, len(scenario.ens))
-    value, units = _split_value(groups, scenario, memo)
-    return _overloads(groups, scenario, min_bw), value, units
-
-
-def _greedy_assignment(
-    scenario: Scenario,
-    feasible: Sequence[Sequence[int]],
-    min_bw: Sequence[float | None],
-) -> list[int]:
+def _greedy_assignment(state: _SolveState) -> list[int]:
     """Start each user on the roomiest feasible node, preferring stricter security."""
+    scenario = state.scenario
     remaining_bw = [en.bandwidth_hz for en in scenario.ens]
     remaining_slots = [
         math.inf if en.power_pool_w is None or scenario.power_cap_w == 0
@@ -484,20 +496,20 @@ def _greedy_assignment(
         for en in scenario.ens
     ]
     assignment = []
-    for i in range(len(scenario.ues)):
+    for i, need in enumerate(state.min_bw):
         ranked = sorted(
-            feasible[i],
+            state.feasible[i],
             key=lambda j: (-scenario.ens[j].compute_units, scenario.ens[j].security_level, j),
         )
         pick = None
         for j in ranked:
-            if min_bw[i] <= remaining_bw[j] and remaining_slots[j] >= 1:
+            if need <= remaining_bw[j] and remaining_slots[j] >= 1:
                 pick = j
                 break
         if pick is None:
             pick = ranked[0]  # overloaded start; local moves may repair it
         assignment.append(pick)
-        remaining_bw[pick] -= min_bw[i]
+        remaining_bw[pick] -= need
         remaining_slots[pick] -= 1
     return assignment
 
@@ -507,8 +519,7 @@ def assignment_search(
     utility_curves: Sequence[UtilityCurve],
     mode: str = "exhaustive",
     *,
-    min_bandwidth: Sequence[float | None] | None = None,
-    _memo: _SplitMemo | None = None,
+    _state: _SolveState | None = None,
 ) -> np.ndarray:
     """Pick one edge node per user maximizing the weighted log-utility sum.
 
@@ -517,33 +528,30 @@ def assignment_search(
     that overload an edge node's bandwidth or power pool before splitting any
     compute, and keeps the first best.  Local mode starts from the greedy
     assignment and applies single-user reassignment moves until none
-    improves.  Per-node compute splits are memoised for the call (or shared
-    through `_memo` by the solver).  `min_bandwidth` may carry precomputed
-    per-user deadline bandwidths.
+    improves.  Per-node compute splits are memoised for the call, or for the
+    whole solve when the solver passes its `_state`.
     """
     if mode not in ("exhaustive", "local"):
         raise ValueError("mode must be 'exhaustive' or 'local'")
     n, m = len(scenario.ues), len(scenario.ens)
     if n == 0 or m == 0:
         raise ValueError("scenario must have at least one UE and one EN")
-    min_bw = list(min_bandwidth) if min_bandwidth is not None else _min_bandwidths(scenario)[0]
-    feasible = _feasible_en_sets(scenario, min_bw)
-    blocked = [i for i, options in enumerate(feasible) if not options]
+    state = _state if _state is not None else _SolveState(scenario, utility_curves)
+    blocked = state.blocked()
     if blocked:
         raise InfeasibleScenarioError(
             "some users have no security- and deadline-feasible edge node",
             blocking_users=blocked,
         )
-    memo = _memo if _memo is not None else _SplitMemo(scenario, utility_curves)
 
     if mode == "exhaustive" and n * math.log2(m) <= _EXHAUSTIVE_GUARD_BITS:
         best_value: float | None = None
         best_assignment: tuple[int, ...] | None = None
-        for combo in itertools.product(*feasible):
+        for combo in itertools.product(*state.feasible):
             groups = _node_groups(combo, m)
-            if _overloads(groups, scenario, min_bw):
+            if state.overloads(groups):
                 continue
-            value, _ = _split_value(groups, scenario, memo)
+            value, _ = state.value(groups)
             if best_value is None or value > best_value:
                 best_value = value
                 best_assignment = combo
@@ -553,28 +561,28 @@ def assignment_search(
             )
         chosen = list(best_assignment)
     else:
-        chosen = _greedy_assignment(scenario, feasible, min_bw)
-        overloads, value, _ = _assignment_value(chosen, scenario, min_bw, memo)
-        score = (-overloads, value)
+        def score(assignment: Sequence[int]) -> tuple[int, float]:
+            groups = _node_groups(assignment, m)
+            return -state.overloads(groups), state.value(groups)[0]
+
+        chosen = _greedy_assignment(state)
+        best = score(chosen)
         for _ in range(10_000):
             best_move = None
-            best_move_score = score
             for i in range(n):
-                for j in feasible[i]:
+                for j in state.feasible[i]:
                     if j == chosen[i]:
                         continue
                     candidate = chosen.copy()
                     candidate[i] = j
-                    c_over, c_value, _ = _assignment_value(candidate, scenario, min_bw, memo)
-                    c_score = (-c_over, c_value)
-                    if c_score > best_move_score:
-                        best_move_score = c_score
+                    c_score = score(candidate)
+                    if c_score > best:
+                        best = c_score
                         best_move = (i, j)
             if best_move is None:
                 break
             chosen[best_move[0]] = best_move[1]
-            score = best_move_score
-        if score[0] < 0:
+        if best[0] < 0:
             raise InfeasibleScenarioError(
                 "local search found no assignment within edge-node capacities"
             )
@@ -605,29 +613,26 @@ def solve_alternating(
     if n == 0 or m == 0:
         raise ValueError("scenario must have at least one UE and one EN")
 
-    min_bw, causes = _min_bandwidths(scenario)
-    feasible = _feasible_en_sets(scenario, min_bw)
-    blocked = [i for i, options in enumerate(feasible) if not options]
+    state = _SolveState(scenario)
+    blocked = state.blocked()
     if blocked:
         detail = "; ".join(
-            f"user {i}: {causes[i] or 'no edge node clears security and bandwidth'}"
+            f"user {i}: {state.causes[i] or 'no edge node clears security and bandwidth'}"
             for i in blocked
         )
         raise InfeasibleScenarioError(f"infeasible scenario: {detail}", blocking_users=blocked)
 
-    total_units = sum(en.compute_units for en in scenario.ens)
-    curves = _build_curves(scenario, total_units)
-    memo = _SplitMemo(scenario, curves)
-    x = assignment_search(scenario, curves, opts.mode, min_bandwidth=min_bw, _memo=memo)
+    curves = state.curves
+    x = assignment_search(scenario, curves, opts.mode, _state=state)
     assignment = [int(np.argmax(x[i])) for i in range(n)]
-    _, final, units = _assignment_value(assignment, scenario, min_bw, memo)
+    final, units = state.value(_node_groups(assignment, m))
 
     bandwidth = np.zeros((n, m))
     power = np.zeros((n, m))
     compute = np.zeros((n, m), dtype=int)
     thresholds = []
     for i, j in enumerate(assignment):
-        bandwidth[i, j] = min_bw[i]
+        bandwidth[i, j] = state.min_bw[i]
         power[i, j] = scenario.power_cap_w
         compute[i, j] = units[i]
         thresholds.append(curves[i].pair(units[i]))
@@ -640,13 +645,13 @@ def solve_alternating(
     )
 
     utilities = tuple(curves[i].value(units[i]) for i in range(n))
-    lb = lower_bound(scenario, _curves=curves, _min_bw=min_bw)
-    ub = upper_bound(scenario, _curves=curves, _min_bw=min_bw)
+    lb = lower_bound(scenario, _state=state)
+    ub = upper_bound(scenario, _state=state)
     gap = relative_gap(final, lb) if lb != 0.0 else None
 
     diagnostics = []
     for i, ue in enumerate(scenario.ues):
-        alloc = linkmod.LinkAllocation(bandwidth_hz=min_bw[i], power_w=scenario.power_cap_w)
+        alloc = linkmod.LinkAllocation(bandwidth_hz=state.min_bw[i], power_w=scenario.power_cap_w)
         t_off = linkmod.offload_time(ue.demand, alloc, ue.channel)
         diagnostics.append(
             UserDiagnostics(
@@ -671,84 +676,17 @@ def solve_alternating(
     return plan, report
 
 
-def _pooled_value(
-    user_idx: Sequence[int],
-    scenario: Scenario,
-    bandwidth_total: float,
-    compute_total: int,
-    power_total: float | None,
-    curves: Sequence[UtilityCurve],
-    min_bw: Sequence[float | None] | None,
-) -> float:
-    """Pooled-capacity allocation value over one user group.
-
-    Users are admitted greedily by ascending bandwidth need; users whose link
-    fails or who do not fit the pooled bandwidth/power contribute the floor
-    utility.  `min_bw`, when given, carries the per-user needs a solve has
-    already bisected.
-    """
-    needs: list[tuple[float, int]] = []
-    floored: list[int] = []
-    for i in user_idx:
-        bw = min_bw[i] if min_bw is not None else _min_bandwidth(scenario, scenario.ues[i])[0]
-        if bw is None:
-            floored.append(i)
-            continue
-        needs.append((bw, i))
-
-    needs.sort()
-    served: list[int] = []
-    remaining_bw = bandwidth_total
-    remaining_power = power_total
-    for bw, i in needs:
-        if bw > remaining_bw:
-            floored.append(i)
-            continue
-        if remaining_power is not None and scenario.power_cap_w > remaining_power:
-            floored.append(i)
-            continue
-        served.append(i)
-        remaining_bw -= bw
-        if remaining_power is not None:
-            remaining_power -= scenario.power_cap_w
-
-    served.sort()
-    split = allocate_compute_dp(
-        [scenario.ues[i].weight for i in served],
-        [curves[i] for i in served],
-        compute_total,
-    )
-    total = sum(
-        scenario.ues[i].weight * math.log(max(curves[i].value(w), LOG_UTILITY_FLOOR))
-        for i, w in zip(served, split)
-    )
-    total += sum(scenario.ues[i].weight * math.log(LOG_UTILITY_FLOOR) for i in floored)
-    return total
-
-
-def _ensure_curves(scenario: Scenario, curves: Sequence[UtilityCurve] | None) -> Sequence[UtilityCurve]:
-    if curves is not None:
-        return curves
-    total_units = sum(en.compute_units for en in scenario.ens)
-    return _build_curves(scenario, total_units)
-
-
-def lower_bound(
-    scenario: Scenario,
-    *,
-    _curves: Sequence[UtilityCurve] | None = None,
-    _min_bw: Sequence[float | None] | None = None,
-) -> float:
+def lower_bound(scenario: Scenario, *, _state: _SolveState | None = None) -> float:
     """Bound from pooling capacities within each exact security level.
 
     A level that has users but no edge node contributes floor utilities and
     emits a warning.  Grouping both restricts (exact-level matching) and
     relaxes (pooled capacity), so no ordering against the solver objective is
-    asserted.
+    asserted.  A solve passes its `_state`, whose splits the bound reuses.
     """
     if not scenario.ues:
         return 0.0
-    curves = _ensure_curves(scenario, _curves)
+    state = _state if _state is not None else _SolveState(scenario)
     total = 0.0
     for level in sorted({ue.security_level for ue in scenario.ues}):
         users = [i for i, ue in enumerate(scenario.ues) if ue.security_level == level]
@@ -763,41 +701,16 @@ def lower_bound(
                 scenario.ues[i].weight * math.log(LOG_UTILITY_FLOOR) for i in users
             )
             continue
-        pools = [en.power_pool_w for en in nodes]
-        power_total = None if any(p is None for p in pools) else float(sum(pools))
-        total += _pooled_value(
-            users,
-            scenario,
-            bandwidth_total=float(sum(en.bandwidth_hz for en in nodes)),
-            compute_total=int(sum(en.compute_units for en in nodes)),
-            power_total=power_total,
-            curves=curves,
-            min_bw=_min_bw,
-        )
+        total += state.pooled(users, nodes)
     return total
 
 
-def upper_bound(
-    scenario: Scenario,
-    *,
-    _curves: Sequence[UtilityCurve] | None = None,
-    _min_bw: Sequence[float | None] | None = None,
-) -> float:
+def upper_bound(scenario: Scenario, *, _state: _SolveState | None = None) -> float:
     """Bound from merging every edge node and dropping security and assignment."""
     if not scenario.ues:
         return 0.0
-    curves = _ensure_curves(scenario, _curves)
-    pools = [en.power_pool_w for en in scenario.ens]
-    power_total = None if any(p is None for p in pools) or not pools else float(sum(pools))
-    return _pooled_value(
-        range(len(scenario.ues)),
-        scenario,
-        bandwidth_total=float(sum(en.bandwidth_hz for en in scenario.ens)),
-        compute_total=int(sum(en.compute_units for en in scenario.ens)),
-        power_total=power_total,
-        curves=curves,
-        min_bw=_min_bw,
-    )
+    state = _state if _state is not None else _SolveState(scenario)
+    return state.pooled(range(len(scenario.ues)), scenario.ens)
 
 
 def relative_gap(u_alg: float, u_lb: float) -> float:

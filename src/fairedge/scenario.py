@@ -196,7 +196,13 @@ def _is_integer(checker, value) -> bool:
 
 
 def _is_number(checker, value) -> bool:
-    return _is_integer(checker, value) or isinstance(value, float) and math.isfinite(value)
+    """A finite float, or an integer that converts to one without overflow."""
+    if not (_is_integer(checker, value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 _SCENARIO_VALIDATOR = validators.extend(

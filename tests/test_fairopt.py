@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairedge import oracle
+from fairedge import fairopt, oracle
 from fairedge.exitpolicy import (
     ThresholdPair,
     UndefinedMetricError,
@@ -33,9 +34,8 @@ from fairedge.fairopt import (
     solve_alternating,
     upper_bound,
     weighted_log_objective,
-    _assignment_value,
-    _min_bandwidths,
-    _SplitMemo,
+    _node_groups,
+    _SolveState,
 )
 from fairedge.link import ChannelState, EnergyModel, OffloadDemand
 from fairedge.scenario import random_scenario
@@ -93,12 +93,18 @@ def make_scenario(ues, ens, levels=2):
 
 def solver_inputs(scenario):
     """Utility curves and per-user deadline bandwidths as a solve builds them."""
-    min_bw, _ = _min_bandwidths(scenario)
+    min_bw = _SolveState(scenario).min_bw
     assert all(bw is not None for bw in min_bw)
     total_units = sum(en.compute_units for en in scenario.ens)
     curves = [utility_curve(ue.stream, min(total_units, len(ue.stream.traces)))
               for ue in scenario.ues]
     return curves, min_bw
+
+
+def state_value(state, assignment):
+    """(overloads, objective, units) for one assignment, read from a solve state."""
+    groups = _node_groups(assignment, len(state.scenario.ens))
+    return (state.overloads(groups), *state.value(groups))
 
 
 def fresh_assignment_value(assignment, scenario, curves, min_bw):
@@ -308,10 +314,9 @@ class TestAssignmentSearch:
         curves = [utility_curve(ue.stream, sum(en.compute_units for en in scenario.ens))
                   for ue in scenario.ues]
         x = assignment_search(scenario, curves, mode="local")
-        min_bw, _ = _min_bandwidths(scenario)
-        memo = _SplitMemo(scenario, curves)
+        state = _SolveState(scenario, curves)
         chosen = [int(np.argmax(x[i])) for i in range(3)]
-        over, value, _ = _assignment_value(chosen, scenario, min_bw, memo)
+        over, value, _ = state_value(state, chosen)
         assert over == 0
         for i in range(3):
             for j in range(2):
@@ -321,7 +326,7 @@ class TestAssignmentSearch:
                 alt[i] = j
                 if scenario.ens[j].security_level > scenario.ues[i].security_level:
                     continue
-                o2, v2, _ = _assignment_value(alt, scenario, min_bw, memo)
+                o2, v2, _ = state_value(state, alt)
                 assert o2 > 0 or v2 <= value + 1e-12
 
     def test_blocked_user_raises_with_its_index(self):
@@ -338,11 +343,11 @@ class TestAssignmentSearch:
             curves, min_bw = solver_inputs(scenario)
             n, m = len(scenario.ues), len(scenario.ens)
             for mode in ("exhaustive", "local"):
-                memo = _SplitMemo(scenario, curves)
-                assignment_search(scenario, curves, mode, min_bandwidth=min_bw, _memo=memo)
+                state = _SolveState(scenario, curves)
+                assignment_search(scenario, curves, mode, _state=state)
                 for _ in range(40):
                     assignment = [int(rng.integers(m)) for _ in range(n)]
-                    got = _assignment_value(assignment, scenario, min_bw, memo)
+                    got = state_value(state, assignment)
                     assert got == fresh_assignment_value(assignment, scenario, curves, min_bw)
 
     def test_exhaustive_matches_plain_enumeration_under_tight_bandwidth(self):
@@ -371,9 +376,9 @@ class TestAssignmentSearch:
             assert overloaded > 0
             if best_combo is None:
                 with pytest.raises(InfeasibleScenarioError):
-                    assignment_search(scenario, curves, min_bandwidth=min_bw)
+                    assignment_search(scenario, curves)
                 continue
-            x = assignment_search(scenario, curves, min_bandwidth=min_bw)
+            x = assignment_search(scenario, curves)
             assert [int(np.argmax(row)) for row in x] == list(best_combo)
             searched += 1
         assert searched >= 4
@@ -436,6 +441,38 @@ class TestSolveAlternating:
             assert loc.objective <= exh.objective + 1e-12
 
 
+class TestSolveLayers:
+    @pytest.mark.parametrize(
+        "levels, mode", [(1, "exhaustive"), (1, "local"), (2, "exhaustive"), (3, "local")]
+    )
+    def test_solve_repeats_no_dp_input_and_calls_each_layer_once(self, levels, mode, monkeypatch):
+        # counting wrappers on the module attributes the solver calls by name
+        dp_inputs = []
+        calls = collections.Counter()
+        real_dp = fairopt.allocate_compute_dp
+
+        def counting_dp(weights, curves, capacity):
+            dp_inputs.append((capacity, tuple(map(id, curves))))
+            return real_dp(weights, curves, capacity)
+
+        monkeypatch.setattr(fairopt, "allocate_compute_dp", counting_dp)
+        layers = ("assignment_search", "lower_bound", "upper_bound")
+        for name in layers:
+            def counting(*args, _name=name, _real=getattr(fairopt, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(fairopt, name, counting)
+
+        scenario = random_scenario(6, 3, 11, security_levels=levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fairopt.solve_alternating(scenario, SolveOptions(mode=mode))
+        assert dp_inputs
+        assert len(set(dp_inputs)) == len(dp_inputs)
+        assert calls == {name: 1 for name in layers}
+
+
 class TestBounds:
     def test_single_node_single_level_bounds_coincide(self):
         stream = make_stream(
@@ -485,13 +522,14 @@ class TestBounds:
         assert total == pytest.approx(parts, abs=1e-9)
 
     def test_solver_bandwidths_give_the_same_bounds(self):
-        for seed in range(4):
-            scenario = random_scenario(4, 2, 650 + seed)
-            _, min_bw = solver_inputs(scenario)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert lower_bound(scenario, _min_bw=min_bw) == lower_bound(scenario)
-            assert upper_bound(scenario, _min_bw=min_bw) == upper_bound(scenario)
+        for levels in (1, 2, 3):
+            for seed in range(4):
+                scenario = random_scenario(4, 2, 650 + seed, security_levels=levels)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    _, report = solve_alternating(scenario)
+                    assert report.lower_bound == lower_bound(scenario)
+                assert report.upper_bound == upper_bound(scenario)
 
     def test_upper_bound_dominates_sampled_feasible_plans(self):
         for seed in range(10):

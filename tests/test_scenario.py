@@ -308,6 +308,26 @@ class TestDocumentValidation:
         assert cli.main(["solve", str(path)]) == 2
         assert _dotted(keys) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (_UE + ("weight",), 10**400),
+            (("bandwidth_cap_hz",), -(10**400)),
+            (_EN + ("power_pool_w",), 10**309),
+        ],
+        ids=lambda v: _dotted(v) if isinstance(v, tuple) else None,
+    )
+    def test_integers_too_large_for_a_float_are_rejected(self, keys, value, tmp_path, capsys):
+        doc = _edited(keys, value)
+        with pytest.raises(ScenarioParseError) as err:
+            parse_document(doc)
+        assert err.value.path == _dotted(keys)
+        assert "is not of type" in str(err.value)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["solve", str(path)]) == 2
+        assert _dotted(keys) in capsys.readouterr().err
+
     def test_integers_in_number_fields_are_stored_as_floats(self):
         config = parse_document(_edited(_UE + ("weight",), 2))
         assert config.ues[0].weight == 2.0 and type(config.ues[0].weight) is float
