@@ -300,6 +300,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairedge",
@@ -310,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random scenario plus trace files")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--ues", type=int, default=3)
-    p_gen.add_argument("--ens", type=int, default=2)
-    p_gen.add_argument("--security-levels", type=int, default=2)
+    p_gen.add_argument("--ues", type=_positive_int, default=3)
+    p_gen.add_argument("--ens", type=_positive_int, default=2)
+    p_gen.add_argument("--security-levels", type=_positive_int, default=2)
     p_gen.add_argument("--deterministic", action="store_true")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -349,6 +349,8 @@ def _min_bandwidth(scenario: Scenario, ue: UEProfile) -> tuple[float | None, str
     """Minimum deadline-meeting bandwidth at full power, or None and the cause."""
     if scenario.power_cap_w <= 0.0:
         return None, "zero power cap"
+    if scenario.bandwidth_cap_hz <= 0.0:
+        return None, "zero bandwidth cap"
     try:
         return (
             linkmod.min_bandwidth_for_deadline(

@@ -208,16 +208,16 @@ def brute_force_plan(
         if en.compute_units > 12:
             raise OracleSizeError("compute capacities above 12 exceed the oracle budget")
 
-    min_bw: list[float | None] = []
-    for ue in scenario.ues:
-        try:
-            min_bw.append(
-                linkmod.min_bandwidth_for_deadline(
+    # every user stays blocked (None) under a zero power or bandwidth cap
+    min_bw: list[float | None] = [None] * n
+    if scenario.power_cap_w > 0.0 and scenario.bandwidth_cap_hz > 0.0:
+        for i, ue in enumerate(scenario.ues):
+            try:
+                min_bw[i] = linkmod.min_bandwidth_for_deadline(
                     ue.channel, scenario.power_cap_w, ue.demand, scenario.bandwidth_cap_hz
                 )
-            )
-        except linkmod.LinkError:
-            min_bw.append(None)
+            except linkmod.LinkError:
+                pass
 
     max_units = max(en.compute_units for en in scenario.ens)
     per_user: list[tuple[list[float], list[ThresholdPair]]] = []

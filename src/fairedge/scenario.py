@@ -6,7 +6,7 @@ seconds, joules).  Each user carries exactly one trace source: a CSV file
 validated against the published SCENARIO_SCHEMA; parsing and serialising
 are derived from the config dataclasses and one table of renamed fields.
 Solver outputs are persisted as schema-versioned, digest-stamped JSON
-bundles, encoded from the same dataclasses.
+bundles whose encoding, decoding and BUNDLE_SCHEMA derive from dataclasses.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Sequence
 import numpy as np
 from jsonschema import Draft202012Validator, ValidationError, validators
 
-from .exitpolicy import ConfusionCounts, MetricsReport, ThresholdPair
+from .exitpolicy import ConfusionCounts, MetricsReport
 from .fairopt import AllocationPlan, ENProfile, Scenario, SolveReport, UEProfile
 from .link import ChannelState, EnergyModel, LinkAllocation, OffloadDemand, secrecy_rate
 from .trace import GeneratorParams, generate_stream, load_stream
@@ -60,27 +60,19 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class UEConfig:
+    """A user profile with its trace source in place of the stream."""
+
     weight: float
     security_level: int
-    feature_size_bits: float
-    deadline_s: float
+    demand: OffloadDemand
     channel: ChannelState
-    joules_per_access: float
-    access_counts: tuple[int, ...]
+    energy: EnergyModel
     trace_file: str | None = None
     generator: GeneratorSpec | None = None
 
     def __post_init__(self):
         if (self.trace_file is None) == (self.generator is None):
             raise ValueError("exactly one of trace_file or generator is required")
-
-
-@dataclass(frozen=True)
-class ENConfig:
-    bandwidth_hz: float
-    compute_units: int
-    security_level: int
-    power_pool_w: float | None = None
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,7 @@ class ScenarioConfig:
     bandwidth_cap_hz: float
     power_cap_w: float
     ues: tuple[UEConfig, ...]
-    ens: tuple[ENConfig, ...]
+    ens: tuple[ENProfile, ...]
     seed: int | None = None
 
 
@@ -104,8 +96,7 @@ _DOC_PATHS: dict[type, dict[str, tuple[str, ...]]] = {
         "eavesdropper_noise_psd": ("eavesdropper_noise_psd_w_per_hz",),
     },
     UEConfig: {
-        "joules_per_access": ("energy", "joules_per_access"),
-        "access_counts": ("energy", "access_counts"),
+        "demand": (),
         "trace_file": ("trace", "file"),
         "generator": ("trace", "generator"),
     },
@@ -224,8 +215,6 @@ def _parse_error(error: ValidationError) -> ScenarioParseError:
 
 
 _field_types = functools.cache(typing.get_type_hints)
-
-
 _ABSENT = object()
 
 
@@ -237,18 +226,23 @@ def _lookup(doc: dict, path: tuple[str, ...]) -> Any:
     return doc
 
 
+def _without_none(kind: Any) -> Any:
+    """``X`` for an annotation ``X | None``, else the annotation itself."""
+    if isinstance(kind, types.UnionType):
+        return next(a for a in typing.get_args(kind) if a is not type(None))
+    return kind
+
+
 def _decode(kind: Any, value: Any) -> Any:
     """Build a value of the annotated type ``kind`` from its JSON form.
 
     Dataclass fields are read from their _DOC_PATHS location (absent ones
-    keep their defaults), tuples are rebuilt from lists, and JSON integers
-    in float fields become floats.
+    keep their defaults), tuples are rebuilt from lists, matrices become
+    arrays, and JSON integers in float fields become floats.
     """
     if value is None:
         return None
-    args = [a for a in typing.get_args(kind) if a is not type(None)]
-    if isinstance(kind, types.UnionType):
-        kind = args[0]
+    kind = _without_none(kind)
     if dataclasses.is_dataclass(kind):
         paths, hints = _DOC_PATHS.get(kind, {}), _field_types(kind)
         kwargs = {}
@@ -258,7 +252,9 @@ def _decode(kind: Any, value: Any) -> Any:
                 kwargs[f.name] = _decode(hints[f.name], item)
         return kind(**kwargs)
     if typing.get_origin(kind) is tuple:
-        return tuple(_decode(args[0], item) for item in value)
+        return tuple(_decode(typing.get_args(kind)[0], item) for item in value)
+    if kind is np.ndarray:
+        return np.asarray(value)
     if kind is float and type(value) is int:
         return float(value)
     return value
@@ -267,11 +263,13 @@ def _decode(kind: Any, value: Any) -> Any:
 def _encode(value: Any) -> Any:
     """JSON form of a dataclass tree, the inverse of _decode.
 
-    Fields left at a None default are omitted, and tuples become lists,
-    which jsonschema's "array" requires.
+    Fields left at a None default are omitted, and tuples and arrays become
+    lists, which jsonschema's "array" requires.
     """
     if isinstance(value, tuple):
         return [_encode(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if not dataclasses.is_dataclass(value):
         return value
     doc: dict[str, Any] = {}
@@ -289,6 +287,37 @@ def _encode(value: Any) -> Any:
             target = target.setdefault(key, {})
         target[path[-1]] = _encode(item)
     return doc
+
+
+_JSON_TYPES = {float: "number", int: "integer", bool: "boolean", str: "string", dict: "object"}
+
+
+def _schema(kind: Any) -> dict:
+    """JSON schema of _encode's output for the annotated type ``kind``.
+
+    A dataclass field is required unless it defaults to None; such a field
+    is omitted when None, so it is optional but never null.  Only a
+    ``X | None`` field without that default admits null.  Fields sit under
+    their own names: types with _DOC_PATHS entries are not supported.
+    """
+    if isinstance(kind, types.UnionType):
+        schema = _schema(_without_none(kind))
+        return {**schema, "type": [schema["type"], "null"]}
+    if dataclasses.is_dataclass(kind):
+        hints, fields = _field_types(kind), dataclasses.fields(kind)
+        return {
+            "type": "object",
+            "required": [f.name for f in fields if f.default is not None],
+            "properties": {
+                f.name: _schema(_without_none(hints[f.name]) if f.default is None else hints[f.name])
+                for f in fields
+            },
+        }
+    if typing.get_origin(kind) is tuple:
+        return {"type": "array", "items": _schema(typing.get_args(kind)[0])}
+    if kind is np.ndarray:
+        return {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
+    return {"type": _JSON_TYPES[kind]}
 
 
 def parse_document(document: str | dict) -> ScenarioConfig:
@@ -323,39 +352,22 @@ def serialize_document(config: ScenarioConfig) -> dict:
 
 def realize(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario:
     """Materialize profiles and event streams from a validated config."""
-    base = Path(base_dir)
-    ues = []
-    for ue in config.ues:
-        if ue.trace_file is not None:
-            stream = load_stream(base / ue.trace_file)
-        else:
-            stream = generate_stream(ue.generator.params, ue.generator.count)
-        ues.append(
-            UEProfile(
-                weight=ue.weight,
-                security_level=ue.security_level,
-                demand=OffloadDemand(
-                    feature_size_bits=ue.feature_size_bits, deadline_s=ue.deadline_s
-                ),
-                channel=ue.channel,
-                energy=EnergyModel(
-                    joules_per_access=ue.joules_per_access, access_counts=ue.access_counts
-                ),
-                stream=stream,
-            )
+    ues = tuple(
+        UEProfile(
+            weight=ue.weight,
+            security_level=ue.security_level,
+            demand=ue.demand,
+            channel=ue.channel,
+            energy=ue.energy,
+            stream=load_stream(Path(base_dir) / ue.trace_file)
+            if ue.trace_file is not None
+            else generate_stream(ue.generator.params, ue.generator.count),
         )
-    ens = [
-        ENProfile(
-            bandwidth_hz=en.bandwidth_hz,
-            compute_units=en.compute_units,
-            security_level=en.security_level,
-            power_pool_w=en.power_pool_w,
-        )
-        for en in config.ens
-    ]
+        for ue in config.ues
+    )
     return Scenario(
-        ues=tuple(ues),
-        ens=tuple(ens),
+        ues=ues,
+        ens=config.ens,
         bandwidth_cap_hz=config.bandwidth_cap_hz,
         power_cap_w=config.power_cap_w,
         security_levels=config.security_levels,
@@ -419,23 +431,25 @@ def random_scenario_config(
             normal_drift=-float(rng.uniform(0.5, 1.0)),
             noise_std=float(rng.uniform(0.3, 0.7)),
         )
-        params = None
-        while params is None:
-            candidate = GeneratorParams(seed=int(rng.integers(0, 2**31)), **base)
-            stats_stream = generate_stream(candidate, count)
-            labels = {t.true_label for t in stats_stream.traces}
-            if len(labels) == 2:
-                params = candidate
+        while True:
+            params = GeneratorParams(seed=int(rng.integers(0, 2**31)), **base)
+            if len({t.true_label for t in generate_stream(params, count).traces}) == 2:
+                break
         ues.append(
             UEConfig(
                 weight=float(rng.uniform(0.5, 2.0)),
                 security_level=int(rng.integers(1, security_levels + 1)),
-                feature_size_bits=float(rng.uniform(1e4, 4e4)),
-                deadline_s=float(rng.uniform(0.2, 0.8)),
+                demand=OffloadDemand(
+                    feature_size_bits=float(rng.uniform(1e4, 4e4)),
+                    deadline_s=float(rng.uniform(0.2, 0.8)),
+                ),
                 channel=channel,
-                joules_per_access=float(rng.uniform(1e-10, 1e-9)),
-                access_counts=tuple(
-                    int(rng.integers(10_000, 1_000_000)) for _ in range(int(rng.integers(2, 5)))
+                energy=EnergyModel(
+                    joules_per_access=float(rng.uniform(1e-10, 1e-9)),
+                    access_counts=tuple(
+                        int(rng.integers(10_000, 1_000_000))
+                        for _ in range(int(rng.integers(2, 5)))
+                    ),
                 ),
                 generator=GeneratorSpec(params=params, count=count),
             )
@@ -443,11 +457,9 @@ def random_scenario_config(
 
     ens = []
     for j in range(n_ens):
-        pool = None
-        if rng.random() < power_pool_probability:
-            pool = float(rng.uniform(0.2, 1.0))
+        pool = float(rng.uniform(0.2, 1.0)) if rng.random() < power_pool_probability else None
         ens.append(
-            ENConfig(
+            ENProfile(
                 bandwidth_hz=float(rng.uniform(4e6, 8e6)),
                 compute_units=int(rng.integers(compute_range[0], compute_range[1] + 1)),
                 # The first node always offers the strictest clearance so no
@@ -474,11 +486,8 @@ def random_scenario(n_ues: int, n_ens: int, seed: int, **kwargs) -> Scenario:
 
 def max_secrecy_rate(scenario: Scenario, user: int) -> float:
     """Secure rate of one user's link at the per-pair bandwidth and power caps."""
-    ue = scenario.ues[user]
-    alloc = LinkAllocation(
-        bandwidth_hz=scenario.bandwidth_cap_hz, power_w=scenario.power_cap_w
-    )
-    return secrecy_rate(alloc, ue.channel)
+    alloc = LinkAllocation(bandwidth_hz=scenario.bandwidth_cap_hz, power_w=scenario.power_cap_w)
+    return secrecy_rate(alloc, scenario.ues[user].channel)
 
 
 def canonical_json(payload: dict) -> str:
@@ -488,91 +497,6 @@ def canonical_json(payload: dict) -> str:
 def config_digest(config_doc: dict) -> str:
     """SHA-256 over the canonical JSON form of a scenario document."""
     return hashlib.sha256(canonical_json(config_doc).encode("utf-8")).hexdigest()
-
-
-_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
-
-BUNDLE_SCHEMA: dict = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "config", "config_digest", "plan", "report", "metrics"],
-    "properties": {
-        "schema_version": {"type": "integer"},
-        "config": {"type": "object"},
-        "config_digest": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "created_at": {"type": "string"},
-        "plan": {
-            "type": "object",
-            "required": ["assignment", "bandwidth_hz", "power_w", "compute_units", "thresholds"],
-            "properties": {
-                "assignment": _MATRIX,
-                "bandwidth_hz": _MATRIX,
-                "power_w": _MATRIX,
-                "compute_units": _MATRIX,
-                "thresholds": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["lower", "upper"],
-                        "properties": {
-                            "lower": {"type": "number"},
-                            "upper": {"type": "number"},
-                        },
-                    },
-                },
-            },
-        },
-        "report": {
-            "type": "object",
-            "required": [
-                "objective",
-                "per_user_utility",
-                "iterations",
-                "feasible",
-                "lower_bound",
-                "upper_bound",
-                "relative_gap_pct",
-                "objective_history",
-                "diagnostics",
-            ],
-            "properties": {
-                "objective": {"type": "number"},
-                "per_user_utility": {"type": "array", "items": {"type": "number"}},
-                "iterations": {"type": "integer"},
-                "feasible": {"type": "boolean"},
-                "lower_bound": {"type": "number"},
-                "upper_bound": {"type": "number"},
-                "relative_gap_pct": {"type": ["number", "null"]},
-                "objective_history": {"type": "array", "items": {"type": "number"}},
-                "diagnostics": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["user", "local_energy_j", "offload_time_s", "offload_energy_j"],
-                    },
-                },
-            },
-        },
-        "metrics": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["tp", "fp", "tn", "fn", "car", "fpr", "fnr", "ofr", "utility"],
-                "properties": {
-                    "tp": {"type": "integer"},
-                    "fp": {"type": "integer"},
-                    "tn": {"type": "integer"},
-                    "fn": {"type": "integer"},
-                    "car": {"type": ["number", "null"]},
-                    "fpr": {"type": ["number", "null"]},
-                    "fnr": {"type": ["number", "null"]},
-                    "ofr": {"type": ["number", "null"]},
-                    "utility": {"type": ["number", "null"]},
-                },
-            },
-        },
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -587,6 +511,23 @@ class ResultBundle:
     metrics: tuple[MetricsReport, ...]
     created_at: str | None = None
     schema_version: int = BUNDLE_SCHEMA_VERSION
+
+
+def _bundle_schema() -> dict:
+    """Schema of bundle_to_dict's output: one `metrics` row per user merges
+    its counts and rates."""
+    schema = _schema(ResultBundle)
+    props = schema["properties"]
+    schema["required"].remove("counts")
+    counts, rows = props.pop("counts")["items"], props["metrics"]["items"]
+    rows["required"] = counts["required"] + rows["required"]
+    rows["properties"] = {**counts["properties"], **rows["properties"]}
+    props["config_digest"]["pattern"] = "^[0-9a-f]{64}$"
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema", **schema}
+
+
+# Published schema of a result bundle, derived from the dataclasses above.
+BUNDLE_SCHEMA: dict = _bundle_schema()
 
 
 def build_bundle(
@@ -609,27 +550,14 @@ def build_bundle(
 
 
 def bundle_to_dict(bundle: ResultBundle) -> dict:
-    plan = bundle.plan
-    payload: dict[str, Any] = {
-        "schema_version": bundle.schema_version,
-        "config": bundle.config,
-        "config_digest": bundle.config_digest,
-        "plan": {
-            "assignment": plan.assignment.astype(int).tolist(),
-            "bandwidth_hz": plan.bandwidth_hz.tolist(),
-            "power_w": plan.power_w.tolist(),
-            "compute_units": plan.compute_units.astype(int).tolist(),
-            "thresholds": _encode(plan.thresholds),
-        },
-        "report": _encode(bundle.report),
-        "metrics": [{**_encode(c), **_encode(m)} for c, m in zip(bundle.counts, bundle.metrics)],
-    }
-    if bundle.created_at is not None:
-        payload["created_at"] = bundle.created_at
+    payload = _encode(bundle)
+    payload["metrics"] = [{**c, **m} for c, m in zip(payload.pop("counts"), payload["metrics"])]
     return payload
 
 
 def bundle_from_dict(payload: dict, verify_digest: bool = True) -> ResultBundle:
+    if not isinstance(payload, dict):
+        raise BundleSchemaError(f"a bundle must be a JSON object, not {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != BUNDLE_SCHEMA_VERSION:
         raise BundleSchemaError(
@@ -644,23 +572,7 @@ def bundle_from_dict(payload: dict, verify_digest: bool = True) -> ResultBundle:
             RuntimeWarning,
             stacklevel=2,
         )
-    plan_doc = payload["plan"]
-    plan = AllocationPlan(
-        assignment=np.asarray(plan_doc["assignment"], dtype=int),
-        bandwidth_hz=np.asarray(plan_doc["bandwidth_hz"], dtype=float),
-        power_w=np.asarray(plan_doc["power_w"], dtype=float),
-        compute_units=np.asarray(plan_doc["compute_units"], dtype=int),
-        thresholds=_decode(tuple[ThresholdPair, ...], plan_doc["thresholds"]),
-    )
-    return ResultBundle(
-        config=payload["config"],
-        config_digest=payload["config_digest"],
-        plan=plan,
-        report=_decode(SolveReport, payload["report"]),
-        counts=_decode(tuple[ConfusionCounts, ...], payload["metrics"]),
-        metrics=_decode(tuple[MetricsReport, ...], payload["metrics"]),
-        created_at=payload.get("created_at"),
-    )
+    return _decode(ResultBundle, {**payload, "counts": payload["metrics"]})
 
 
 def write_bundle(bundle: ResultBundle, path: str | Path) -> None:

@@ -100,6 +100,21 @@ class TestCommands:
         assert "infeasible" in captured.err
         assert json.loads(captured.out)["error"]["kind"] == "infeasible"
 
+    @pytest.mark.parametrize("cap", ["bandwidth_cap_hz", "power_cap_w"])
+    @pytest.mark.parametrize("command", ["solve", "bounds"])
+    def test_zero_cap_exits_one_as_infeasible(self, tmp_path, capsys, cap, command):
+        assert main(["gen", "--seed", "42", "--out", str(tmp_path), "--deterministic"]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "scenario.json").read_text())
+        doc[cap] = 0
+        zero = tmp_path / "zero_cap.json"
+        zero.write_text(json.dumps(doc))
+        assert main([command, str(zero)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "infeasible"
+        assert f"zero {cap.split('_')[0]} cap" in error["message"]
+        assert error["blocking_users"] == [0, 1, 2]
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{")
@@ -147,3 +162,12 @@ class TestCommands:
         with pytest.raises(SystemExit) as err:
             main(["solve"])  # missing positional
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--ues", "--ens", "--security-levels"])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_gen_rejects_non_positive_counts_as_usage_errors(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--out", str(tmp_path), flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.json").exists()

@@ -433,6 +433,15 @@ class TestSolveAlternating:
             solve_alternating(scenario)
         assert err.value.blocking_users == [0]
 
+    @pytest.mark.parametrize(
+        "cap, cause", [("bandwidth_cap_hz", "zero bandwidth cap"), ("power_cap_w", "zero power cap")]
+    )
+    def test_zero_cap_blocks_every_user_with_its_cause(self, cap, cause):
+        scenario = dataclasses.replace(random_scenario(2, 2, 42), **{cap: 0.0})
+        with pytest.raises(InfeasibleScenarioError, match=cause) as err:
+            solve_alternating(scenario)
+        assert err.value.blocking_users == [0, 1]
+
     def test_local_and_exhaustive_agree_on_tiny_instances(self):
         for seed in range(5):
             scenario = random_scenario(2, 2, 500 + seed, compute_range=(2, 5))
@@ -485,6 +494,13 @@ class TestBounds:
         empty = Scenario(ues=(), ens=(), bandwidth_cap_hz=1e6, power_cap_w=0.1, security_levels=1)
         assert lower_bound(empty) == 0.0
         assert upper_bound(empty) == 0.0
+
+    @pytest.mark.parametrize("cap", ["bandwidth_cap_hz", "power_cap_w"])
+    def test_zero_cap_floors_every_user_in_both_bounds(self, cap):
+        scenario = dataclasses.replace(random_scenario(2, 2, 42), **{cap: 0.0})
+        floor = sum(ue.weight * math.log(LOG_UTILITY_FLOOR) for ue in scenario.ues)
+        assert lower_bound(scenario) == pytest.approx(floor, rel=1e-12)
+        assert upper_bound(scenario) == pytest.approx(floor, rel=1e-12)
 
     def test_group_without_nodes_is_floored_and_flagged(self):
         scenario = make_scenario(

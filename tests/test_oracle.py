@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,13 @@ class TestBruteForcePlan:
             oracle.brute_force_plan(scenario)
         with pytest.raises(InfeasibleScenarioError):
             solve_alternating(scenario)
+
+    @pytest.mark.parametrize("cap", ["bandwidth_cap_hz", "power_cap_w"])
+    def test_zero_cap_blocks_every_user(self, cap):
+        scenario = dataclasses.replace(random_scenario(2, 2, 42), **{cap: 0.0})
+        with pytest.raises(InfeasibleScenarioError) as err:
+            oracle.brute_force_plan(scenario)
+        assert err.value.blocking_users == [0, 1]
 
     def test_size_guards(self):
         scenario = random_scenario(3, 2, 1)

@@ -8,8 +8,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from fairedge import cli
-from fairedge.fairopt import SolveOptions, solve_alternating
-from fairedge.exitpolicy import evaluate
+from fairedge.fairopt import SolveOptions, SolveReport, UserDiagnostics, solve_alternating
+from fairedge.exitpolicy import ConfusionCounts, MetricsReport, evaluate
 from fairedge.scenario import (
     BUNDLE_SCHEMA,
     SCENARIO_SCHEMA,
@@ -436,3 +436,66 @@ class TestBundles:
 
         payload = bundle_to_dict(make_bundle(5))
         validate(payload, BUNDLE_SCHEMA)
+
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"bundle"'])
+    def test_non_object_json_is_rejected(self, tmp_path, text):
+        path = tmp_path / "bundle.json"
+        path.write_text(text)
+        with pytest.raises(BundleSchemaError, match="JSON object"):
+            read_bundle(path)
+
+
+def _names(kind):
+    return [f.name for f in dataclasses.fields(kind)]
+
+
+_PLAN_MATRICES = ["assignment", "bandwidth_hz", "power_w", "compute_units"]
+
+# One wrong-typed leaf per case: every report, diagnostics and metrics field,
+# both threshold bounds and each plan matrix.
+_WRONG_LEAVES = (
+    [(("report", name), "wrong") for name in _names(SolveReport)]
+    + [(("report", "diagnostics", 0, name), "wrong") for name in _names(UserDiagnostics)]
+    + [(("metrics", 1, name), "wrong") for name in _names(ConfusionCounts) + _names(MetricsReport)]
+    + [(("plan", "thresholds", 0, name), "wrong") for name in ("lower", "upper")]
+    + [(("plan", name), "wrong") for name in _PLAN_MATRICES]
+    + [(("plan", name), [["wrong"]]) for name in _PLAN_MATRICES]
+    + [
+        (("report", "iterations"), 1.5),
+        (("report", "feasible"), 1),
+        (("report", "objective"), True),
+        (("report", "per_user_utility"), ["wrong"]),
+        (("report", "diagnostics", 0, "user"), 0.5),
+        (("metrics", 0, "tp"), 0.5),
+        (("created_at",), None),
+        (("config_digest",), "0" * 63),
+        (("config",), []),
+        (("schema_version",), _DELETE),
+    ]
+)
+
+
+class TestBundleValidation:
+    @pytest.fixture(scope="class")
+    def payload(self):
+        bundle = dataclasses.replace(make_bundle(6), created_at="2026-01-01T00:00:00+00:00")
+        return bundle_to_dict(bundle)
+
+    @pytest.mark.parametrize(
+        "keys, value", _WRONG_LEAVES, ids=lambda v: _dotted(v) if isinstance(v, tuple) else None
+    )
+    def test_wrong_typed_leaf_is_rejected(self, payload, keys, value):
+        edited = copy.deepcopy(payload)
+        parent = edited
+        for key in keys[:-1]:
+            parent = parent[key]
+        assert keys[-1] in parent
+        if value is _DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        with pytest.raises(BundleSchemaError):
+            bundle_from_dict(edited)
+
+    def test_unedited_payload_is_accepted(self, payload):
+        assert bundle_to_dict(bundle_from_dict(copy.deepcopy(payload))) == payload
