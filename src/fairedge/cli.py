@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands: gen, solve, bounds, verify, sweep.  Human-readable summaries go
-to stderr and machine-readable JSON to stdout so outputs can be piped.  All
-randomness flows from the explicit --seed flag; --deterministic drops
-timestamps so identical invocations produce byte-identical output.
+Subcommands: gen, solve, bounds, verify, sweep.  This module only parses
+arguments and dispatches; the verify suites live in `oracle`.  Human-readable
+summaries go to stderr and machine-readable JSON to stdout so outputs can be
+piped.  All randomness flows from the explicit --seed flag, so identical
+invocations produce byte-identical output; only `solve` stamps a time, which
+its --deterministic flag drops.
 
 Exit codes: 0 success, 1 infeasible scenario or failed check, 2 usage or
 parse error.
@@ -18,18 +20,9 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import fairopt, oracle
-from .exitpolicy import (
-    ThresholdPair,
-    UndefinedMetricError,
-    UtilityCurve,
-    evaluate,
-    optimal_thresholds,
-    write_sweep_csv,
-)
-from .fairopt import InfeasibleScenarioError, SolveOptions, allocate_compute_dp
+from .exitpolicy import ThresholdPair, UndefinedMetricError, evaluate, write_sweep_csv
+from .fairopt import InfeasibleScenarioError, SolveOptions
 from .link import LinkError
 from .scenario import (
     ScenarioParseError,
@@ -37,7 +30,6 @@ from .scenario import (
     bundle_to_dict,
     load_scenario,
     parse_document,
-    random_scenario,
     random_scenario_config,
     realize,
     serialize_document,
@@ -151,147 +143,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_monotonicity(seed: int) -> tuple[bool, str]:
-    from .trace import GeneratorParams
-
-    rng = np.random.default_rng(seed)
-    failures = 0
-    streams = 0
-    for layer_count in (3, 4, 6):
-        for _ in range(4):
-            params = GeneratorParams(
-                layer_count=layer_count,
-                critical_prior=float(rng.uniform(0.2, 0.5)),
-                critical_drift=float(rng.uniform(0.4, 1.0)),
-                normal_drift=-float(rng.uniform(0.4, 1.0)),
-                noise_std=float(rng.uniform(0.2, 0.7)),
-                seed=int(rng.integers(0, 2**31)),
-            )
-            stream = generate_stream(params, int(rng.integers(100, 300)))
-            report = oracle.check_monotonicity(stream, samples=30, seed=int(rng.integers(0, 2**31)))
-            streams += 1
-            failures += len(report.failures)
-    return failures == 0, f"{streams} streams, {failures} counterexamples"
-
-
-def _suite_thresholds(seed: int) -> tuple[bool, str]:
-    from .trace import GeneratorParams
-
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    for _ in range(10):
-        params = GeneratorParams(
-            layer_count=4,
-            critical_prior=float(rng.uniform(0.25, 0.5)),
-            critical_drift=float(rng.uniform(0.4, 1.0)),
-            normal_drift=-float(rng.uniform(0.4, 1.0)),
-            noise_std=float(rng.uniform(0.3, 0.7)),
-            seed=int(rng.integers(0, 2**31)),
-        )
-        stream = generate_stream(params, int(rng.integers(20, 40)))
-        budget = int(rng.integers(0, len(stream.traces) + 1))
-        _, exact = optimal_thresholds(stream, budget)
-        _, brute = oracle.brute_force_thresholds(stream, budget, grid_resolution=31)
-        if exact != brute:
-            mismatches += 1
-    return mismatches == 0, f"10 streams, {mismatches} mismatches"
-
-
-def _suite_dp(seed: int) -> tuple[bool, str]:
-    import itertools
-
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    for _ in range(10):
-        users = int(rng.integers(2, 5))
-        capacity = int(rng.integers(3, 10))
-        weights = [float(rng.uniform(0.5, 2.0)) for _ in range(users)]
-        curves = []
-        for _ in range(users):
-            steps = np.sort(rng.uniform(0.0, 1.0, size=capacity + 1))
-            curves.append(
-                UtilityCurve(
-                    utilities=steps,
-                    pairs=tuple(ThresholdPair(0.5, 0.5) for _ in range(capacity + 1)),
-                )
-            )
-        split = allocate_compute_dp(weights, curves, capacity)
-        value = fairopt.weighted_log_objective(weights, [c.value(u) for c, u in zip(curves, split)])
-        best = max(
-            fairopt.weighted_log_objective(weights, [c.value(u) for c, u in zip(curves, combo)])
-            for combo in itertools.product(range(capacity + 1), repeat=users)
-            if sum(combo) <= capacity
-        )
-        if not value == best:
-            mismatches += 1
-    return mismatches == 0, f"10 instances, {mismatches} mismatches"
-
-
-def _suite_plan(seed: int, scenario=None) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    runs = 0
-    for k in range(5):
-        sc = scenario or random_scenario(
-            int(rng.integers(1, 4)),
-            int(rng.integers(1, 3)),
-            int(rng.integers(0, 2**31)),
-            compute_range=(2, 8),
-            event_count_range=(20, 40),
-            layer_counts=(3,),
-        )
-        try:
-            _, brute_obj = oracle.brute_force_plan(sc)
-        except oracle.OracleSizeError:
-            continue
-        _, report = fairopt.solve_alternating(sc, SolveOptions(mode="exhaustive"))
-        runs += 1
-        if abs(report.objective - brute_obj) > 1e-9:
-            mismatches += 1
-        if scenario is not None:
-            break
-    return mismatches == 0, f"{runs} scenarios, {mismatches} mismatches"
-
-
-def _suite_sandwich(seed: int, scenario=None) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    violations = 0
-    runs = 0
-    for _ in range(10):
-        sc = scenario or random_scenario(
-            int(rng.integers(1, 5)),
-            int(rng.integers(1, 4)),
-            int(rng.integers(0, 2**31)),
-        )
-        _, report = fairopt.solve_alternating(sc)
-        runs += 1
-        if report.objective > report.upper_bound + 1e-9:
-            violations += 1
-        if scenario is not None:
-            break
-    return violations == 0, f"{runs} scenarios, {violations} bound violations"
-
-
-_SUITES = {
-    "monotonicity": _suite_monotonicity,
-    "thresholds": _suite_thresholds,
-    "dp": _suite_dp,
-    "plan": _suite_plan,
-    "sandwich": _suite_sandwich,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else None
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = list(oracle.SUITES) if args.suite == "all" else [args.suite]
     results = {}
     failures = 0
     for name in names:
-        runner = _SUITES[name]
-        if name in ("plan", "sandwich"):
-            passed, detail = runner(args.seed, scenario)
-        else:
-            passed, detail = runner(args.seed)
+        passed, detail = oracle.SUITES[name](args.seed, scenario)
         results[name] = {"passed": passed, "detail": detail}
         if not passed:
             failures += 1
@@ -319,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--ues", type=_positive_int, default=3)
     p_gen.add_argument("--ens", type=_positive_int, default=2)
     p_gen.add_argument("--security-levels", type=_positive_int, default=2)
-    p_gen.add_argument("--deterministic", action="store_true")
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="solve a scenario and emit a result bundle")
@@ -332,23 +189,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="solve and report lower/upper bounds and gap")
     p_bounds.add_argument("scenario")
     p_bounds.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
-    p_bounds.add_argument("--deterministic", action="store_true")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run property suites against oracles")
     p_verify.add_argument("scenario", nargs="?", default=None)
-    p_verify.add_argument(
-        "--suite", choices=("all", *_SUITES), default="all"
-    )
+    p_verify.add_argument("--suite", choices=("all", *oracle.SUITES), default="all")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--deterministic", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="export threshold-sweep metrics CSV")
     p_sweep.add_argument("stream", help="trace CSV path")
     p_sweep.add_argument("--resolution", type=int, default=25)
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    p_sweep.add_argument("--deterministic", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -80,12 +80,15 @@ class OffloadDemand:
             raise ValueError("feature size and deadline must be > 0")
 
 
+_LN2 = math.log(2.0)
+
+
 def uplink_rate(alloc: LinkAllocation, channel: ChannelState) -> float:
-    """Shannon rate of the legitimate link in bits/s; zero band yields zero rate."""
+    """Shannon rate in bits/s (zero for a zero band); log1p stays accurate for b >> gP/N0."""
     b = alloc.bandwidth_hz
     if b == 0.0:
         return 0.0
-    return b * math.log2(1.0 + channel.gain * alloc.power_w / (channel.noise_psd * b))
+    return b * math.log1p(channel.gain * alloc.power_w / (channel.noise_psd * b)) / _LN2
 
 
 def eavesdropper_rate(alloc: LinkAllocation, channel: ChannelState) -> float:
@@ -93,9 +96,8 @@ def eavesdropper_rate(alloc: LinkAllocation, channel: ChannelState) -> float:
     b = alloc.bandwidth_hz
     if b == 0.0:
         return 0.0
-    return b * math.log2(
-        1.0 + channel.eavesdropper_gain * alloc.power_w / (channel.eavesdropper_noise_psd * b)
-    )
+    snr = channel.eavesdropper_gain * alloc.power_w / (channel.eavesdropper_noise_psd * b)
+    return b * math.log1p(snr) / _LN2
 
 
 def secrecy_rate(alloc: LinkAllocation, channel: ChannelState) -> float:
@@ -128,19 +130,17 @@ def _secure_rate_at(bandwidth: float, power: float, channel: ChannelState) -> fl
 
 
 def min_bandwidth_for_deadline(
-    channel: ChannelState,
-    power_w: float,
-    demand: OffloadDemand,
-    max_bandwidth_hz: float,
-    rel_tol: float = 1e-9,
+    channel: ChannelState, power_w: float, demand: OffloadDemand, max_bandwidth_hz: float
 ) -> float:
     """Smallest bandwidth in (0, max] whose secure rate meets the deadline.
 
-    A 64-point pre-check confirms the secure rate is non-decreasing in
-    bandwidth before bisecting; if the check ever failed, a dense grid scan
-    brackets the crossing instead.  Raises InsecureLinkError when the
-    eavesdropper dominates and DeadlineInfeasibleError when even the full cap
-    is too slow.
+    With a = gP/N0 above the eavesdropper's e, the secure rate
+    b*log2(1 + a/b) - b*log2(1 + e/b) increases with b: its derivative is
+    (f(a/b) - f(e/b))/ln 2, and f(x) = ln(1+x) - x/(1+x) increases.  The
+    log1p rates keep that order in floating point, so one bisection on
+    (0, max] finds the crossing to a relative 1e-9.  Raises InsecureLinkError
+    when the eavesdropper dominates, DeadlineInfeasibleError when even the
+    full cap is too slow.
     """
     if power_w <= 0.0:
         raise ValueError("power_w must be > 0")
@@ -155,20 +155,8 @@ def min_bandwidth_for_deadline(
             f"secure rate at the bandwidth cap is below the required {required:.6g} bits/s"
         )
 
-    probe = [max_bandwidth_hz * (i + 1) / 64.0 for i in range(64)]
-    rates = [_secure_rate_at(b, power_w, channel) for b in probe]
-    monotone = all(b >= a - 1e-9 * max(abs(a), 1.0) for a, b in zip(rates, rates[1:]))
-
-    if monotone:
-        lo, hi = 0.0, max_bandwidth_hz
-    else:
-        # Rare fallback: bracket the first feasible grid point densely.
-        dense = [max_bandwidth_hz * (i + 1) / 4096.0 for i in range(4096)]
-        hi = next(b for b in dense if _secure_rate_at(b, power_w, channel) >= required)
-        idx = dense.index(hi)
-        lo = dense[idx - 1] if idx > 0 else 0.0
-
-    while hi - lo > rel_tol * hi:
+    lo, hi = 0.0, max_bandwidth_hz
+    while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if _secure_rate_at(mid, power_w, channel) >= required:
             hi = mid

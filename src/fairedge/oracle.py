@@ -1,10 +1,11 @@
-"""Deliberately naive brute-force references for tests and the verify command.
+"""Deliberately naive brute-force references and the verify command's suites.
 
 Everything here re-evaluates the first-crossing rule and the allocation
 objective directly, for every event at every threshold pair (many pairs per
 numpy call) and plan by plan, without touching the optimized search
 structures it is used to validate.  Size guards make the cost explicit
-instead of silently slow.
+instead of silently slow.  SUITES maps each `verify` suite name to a seeded
+check of an optimized path against these references.
 """
 
 from __future__ import annotations
@@ -16,14 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import link as linkmod
-from .exitpolicy import ThresholdPair, UndefinedMetricError
+from .exitpolicy import ThresholdPair, UndefinedMetricError, UtilityCurve, optimal_thresholds
 from .fairopt import (
     LOG_UTILITY_FLOOR,
     AllocationPlan,
     InfeasibleScenarioError,
     Scenario,
+    SolveOptions,
+    allocate_compute_dp,
+    solve_alternating,
+    weighted_log_objective,
 )
-from .trace import EventStream
+from .scenario import random_scenario
+from .trace import EventStream, GeneratorParams, generate_stream
 
 _SENTINEL_DELTA = 1e-6
 
@@ -350,3 +356,132 @@ def check_monotonicity(stream: EventStream, samples: int, seed: int) -> Monotoni
                 f"grew tp {tp_base}->{tp_u}"
             )
     return MonotonicityReport(samples=samples, checks=checks, failures=tuple(failures))
+
+
+# Property suites of the `verify` command.  Each takes the seed and an
+# optional scenario and returns (passed, detail); the stream and DP suites
+# draw their own inputs and ignore the scenario.
+
+
+def _suite_monotonicity(seed: int, scenario: Scenario | None) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
+    failures = 0
+    streams = 0
+    for layer_count in (3, 4, 6):
+        for _ in range(4):
+            params = GeneratorParams(
+                layer_count=layer_count,
+                critical_prior=float(rng.uniform(0.2, 0.5)),
+                critical_drift=float(rng.uniform(0.4, 1.0)),
+                normal_drift=-float(rng.uniform(0.4, 1.0)),
+                noise_std=float(rng.uniform(0.2, 0.7)),
+                seed=int(rng.integers(0, 2**31)),
+            )
+            stream = generate_stream(params, int(rng.integers(100, 300)))
+            report = check_monotonicity(stream, samples=30, seed=int(rng.integers(0, 2**31)))
+            streams += 1
+            failures += len(report.failures)
+    return failures == 0, f"{streams} streams, {failures} counterexamples"
+
+
+def _suite_thresholds(seed: int, scenario: Scenario | None) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    for _ in range(10):
+        params = GeneratorParams(
+            layer_count=4,
+            critical_prior=float(rng.uniform(0.25, 0.5)),
+            critical_drift=float(rng.uniform(0.4, 1.0)),
+            normal_drift=-float(rng.uniform(0.4, 1.0)),
+            noise_std=float(rng.uniform(0.3, 0.7)),
+            seed=int(rng.integers(0, 2**31)),
+        )
+        stream = generate_stream(params, int(rng.integers(20, 40)))
+        budget = int(rng.integers(0, len(stream.traces) + 1))
+        _, exact = optimal_thresholds(stream, budget)
+        _, brute = brute_force_thresholds(stream, budget, grid_resolution=31)
+        if exact != brute:
+            mismatches += 1
+    return mismatches == 0, f"10 streams, {mismatches} mismatches"
+
+
+def _suite_dp(seed: int, scenario: Scenario | None) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    for _ in range(10):
+        users = int(rng.integers(2, 5))
+        capacity = int(rng.integers(3, 10))
+        weights = [float(rng.uniform(0.5, 2.0)) for _ in range(users)]
+        curves = []
+        for _ in range(users):
+            steps = np.sort(rng.uniform(0.0, 1.0, size=capacity + 1))
+            curves.append(
+                UtilityCurve(
+                    utilities=steps,
+                    pairs=tuple(ThresholdPair(0.5, 0.5) for _ in range(capacity + 1)),
+                )
+            )
+        split = allocate_compute_dp(weights, curves, capacity)
+        value = weighted_log_objective(weights, [c.value(u) for c, u in zip(curves, split)])
+        best = max(
+            weighted_log_objective(weights, [c.value(u) for c, u in zip(curves, combo)])
+            for combo in itertools.product(range(capacity + 1), repeat=users)
+            if sum(combo) <= capacity
+        )
+        if not value == best:
+            mismatches += 1
+    return mismatches == 0, f"10 instances, {mismatches} mismatches"
+
+
+def _suite_plan(seed: int, scenario: Scenario | None) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    runs = 0
+    for k in range(5):
+        sc = scenario or random_scenario(
+            int(rng.integers(1, 4)),
+            int(rng.integers(1, 3)),
+            int(rng.integers(0, 2**31)),
+            compute_range=(2, 8),
+            event_count_range=(20, 40),
+            layer_counts=(3,),
+        )
+        try:
+            _, brute_obj = brute_force_plan(sc)
+        except OracleSizeError:
+            continue
+        _, report = solve_alternating(sc, SolveOptions(mode="exhaustive"))
+        runs += 1
+        if abs(report.objective - brute_obj) > 1e-9:
+            mismatches += 1
+        if scenario is not None:
+            break
+    return mismatches == 0, f"{runs} scenarios, {mismatches} mismatches"
+
+
+def _suite_sandwich(seed: int, scenario: Scenario | None) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
+    violations = 0
+    runs = 0
+    for _ in range(10):
+        sc = scenario or random_scenario(
+            int(rng.integers(1, 5)),
+            int(rng.integers(1, 4)),
+            int(rng.integers(0, 2**31)),
+        )
+        _, report = solve_alternating(sc)
+        runs += 1
+        if report.objective > report.upper_bound + 1e-9:
+            violations += 1
+        if scenario is not None:
+            break
+    return violations == 0, f"{runs} scenarios, {violations} bound violations"
+
+
+SUITES = {
+    "monotonicity": _suite_monotonicity,
+    "thresholds": _suite_thresholds,
+    "dp": _suite_dp,
+    "plan": _suite_plan,
+    "sandwich": _suite_sandwich,
+}

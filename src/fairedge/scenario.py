@@ -118,10 +118,9 @@ _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _COUNT = {"type": "integer", "minimum": 0}
 _LEVEL = {"type": "integer", "minimum": 1}
 
-# Published schema of a scenario document.  Its "number" excludes booleans,
-# NaN and ±Infinity and its "integer" excludes floats such as 3.0; a user's
-# or node's security_level must also not exceed security_levels, which
-# parse_document checks after the schema.
+# Published schema of a scenario document.  A user's or node's
+# security_level must also not exceed security_levels, which parse_document
+# checks after the schema.
 SCENARIO_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     **_object(
@@ -196,12 +195,15 @@ def _is_number(checker, value) -> bool:
         return False
 
 
-_SCENARIO_VALIDATOR = validators.extend(
+# Draft 2020-12 for both published schemas, except that "number" excludes
+# booleans, NaN and ±Infinity and "integer" excludes floats such as 3.0.
+_Validator = validators.extend(
     Draft202012Validator,
     type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many(
         {"integer": _is_integer, "number": _is_number}
     ),
-)(SCENARIO_SCHEMA)
+)
+_SCENARIO_VALIDATOR = _Validator(SCENARIO_SCHEMA)
 
 
 def _parse_error(error: ValidationError) -> ScenarioParseError:
@@ -528,6 +530,7 @@ def _bundle_schema() -> dict:
 
 # Published schema of a result bundle, derived from the dataclasses above.
 BUNDLE_SCHEMA: dict = _bundle_schema()
+_BUNDLE_VALIDATOR = _Validator(BUNDLE_SCHEMA)
 
 
 def build_bundle(
@@ -555,7 +558,7 @@ def bundle_to_dict(bundle: ResultBundle) -> dict:
     return payload
 
 
-def bundle_from_dict(payload: dict, verify_digest: bool = True) -> ResultBundle:
+def bundle_from_dict(payload: dict) -> ResultBundle:
     if not isinstance(payload, dict):
         raise BundleSchemaError(f"a bundle must be a JSON object, not {type(payload).__name__}")
     version = payload.get("schema_version")
@@ -563,16 +566,19 @@ def bundle_from_dict(payload: dict, verify_digest: bool = True) -> ResultBundle:
         raise BundleSchemaError(
             f"unsupported bundle schema version {version!r}, expected {BUNDLE_SCHEMA_VERSION}"
         )
-    errors = sorted(Draft202012Validator(BUNDLE_SCHEMA).iter_errors(payload), key=str)
+    errors = sorted(_BUNDLE_VALIDATOR.iter_errors(payload), key=str)
     if errors:
         raise BundleSchemaError(f"bundle does not match the schema: {errors[0].message}")
-    if verify_digest and config_digest(payload["config"]) != payload["config_digest"]:
+    if config_digest(payload["config"]) != payload["config_digest"]:
         warnings.warn(
             "bundle config digest mismatch; the config or digest was modified",
             RuntimeWarning,
             stacklevel=2,
         )
-    return _decode(ResultBundle, {**payload, "counts": payload["metrics"]})
+    try:
+        return _decode(ResultBundle, {**payload, "counts": payload["metrics"]})
+    except ValueError as err:  # schema-valid values that the dataclasses reject
+        raise BundleSchemaError(f"inconsistent bundle: {err}") from None
 
 
 def write_bundle(bundle: ResultBundle, path: str | Path) -> None:

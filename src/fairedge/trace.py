@@ -222,19 +222,14 @@ def load_stream(path: str | Path) -> EventStream:
         if event_id in seen:
             raise TraceParseError(f"duplicate event_id {event_id}", line=lineno)
         seen.add(event_id)
-        label = parts[1]
-        if label not in LABELS:
-            raise TraceParseError(f"unknown label {label!r}", line=lineno)
         confs = []
         for raw in parts[2:]:
             try:
-                value = float(raw)
+                confs.append(float(raw))
             except ValueError:
                 raise TraceParseError(f"bad confidence {raw!r}", line=lineno) from None
-            if not math.isfinite(value) or not 0.0 < value < 1.0:
-                raise TraceParseError(
-                    f"confidence {raw} outside open interval (0, 1)", line=lineno
-                )
-            confs.append(value)
-        traces.append(ConfidenceTrace(event_id=event_id, true_label=label, confidences=tuple(confs)))
+        try:  # ConfidenceTrace checks the label and the open interval
+            traces.append(ConfidenceTrace(event_id, parts[1], tuple(confs)))
+        except ValueError as err:
+            raise TraceParseError(str(err), line=lineno) from None
     return EventStream(traces=tuple(traces), layer_count=layer_count)

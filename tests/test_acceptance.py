@@ -336,11 +336,10 @@ def _pipeline(workdir):
         return result.stdout
 
     out = {
-        "gen": run(["gen", "--seed", "42", "--out", "out", "--ues", "2", "--ens", "2",
-                    "--deterministic"]),
+        "gen": run(["gen", "--seed", "42", "--out", "out", "--ues", "2", "--ens", "2"]),
         "solve": run(["solve", "out/scenario.json", "--out", "out/bundle.json",
                       "--deterministic"]),
-        "bounds": run(["bounds", "out/scenario.json", "--deterministic"]),
+        "bounds": run(["bounds", "out/scenario.json"]),
         "scenario": (workdir / "out" / "scenario.json").read_bytes(),
         "bundle": (workdir / "out" / "bundle.json").read_bytes(),
         "traces": sorted(

@@ -29,15 +29,14 @@ def run_cli(args, cwd):
 def pipeline(workdir):
     """gen -> solve -> bounds with fixed seed; returns collected outputs."""
     outputs = {}
-    r = run_cli(["gen", "--seed", "42", "--out", "out", "--ues", "2", "--ens", "2",
-                 "--deterministic"], workdir)
+    r = run_cli(["gen", "--seed", "42", "--out", "out", "--ues", "2", "--ens", "2"], workdir)
     assert r.returncode == 0, r.stderr
     outputs["gen"] = r.stdout
     r = run_cli(["solve", "out/scenario.json", "--out", "out/bundle.json",
                  "--deterministic"], workdir)
     assert r.returncode == 0, r.stderr
     outputs["solve"] = r.stdout
-    r = run_cli(["bounds", "out/scenario.json", "--deterministic"], workdir)
+    r = run_cli(["bounds", "out/scenario.json"], workdir)
     assert r.returncode == 0, r.stderr
     outputs["bounds"] = r.stdout
     outputs["scenario"] = (workdir / "out" / "scenario.json").read_bytes()
@@ -69,8 +68,7 @@ class TestPipelineReproducibility:
 
 class TestCommands:
     def test_solve_writes_parseable_stdout(self, tmp_path, capsys):
-        assert main(["gen", "--seed", "3", "--out", str(tmp_path), "--ues", "1",
-                     "--ens", "1", "--deterministic"]) == 0
+        assert main(["gen", "--seed", "3", "--out", str(tmp_path), "--ues", "1", "--ens", "1"]) == 0
         capsys.readouterr()
         assert main(["solve", str(tmp_path / "scenario.json"), "--deterministic"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -86,8 +84,7 @@ class TestCommands:
         assert "created_at" in payload
 
     def test_infeasible_scenario_exits_one_with_cause(self, tmp_path, capsys):
-        assert main(["gen", "--seed", "5", "--out", str(tmp_path), "--ues", "1",
-                     "--ens", "1", "--deterministic"]) == 0
+        assert main(["gen", "--seed", "5", "--out", str(tmp_path), "--ues", "1", "--ens", "1"]) == 0
         capsys.readouterr()
         doc = json.loads((tmp_path / "scenario.json").read_text())
         doc["ues"][0]["feature_size_bits"] = 1e13
@@ -103,7 +100,7 @@ class TestCommands:
     @pytest.mark.parametrize("cap", ["bandwidth_cap_hz", "power_cap_w"])
     @pytest.mark.parametrize("command", ["solve", "bounds"])
     def test_zero_cap_exits_one_as_infeasible(self, tmp_path, capsys, cap, command):
-        assert main(["gen", "--seed", "42", "--out", str(tmp_path), "--deterministic"]) == 0
+        assert main(["gen", "--seed", "42", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         doc = json.loads((tmp_path / "scenario.json").read_text())
         doc[cap] = 0
@@ -124,8 +121,7 @@ class TestCommands:
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
     def test_bounds_reports_gap_fields(self, tmp_path, capsys):
-        assert main(["gen", "--seed", "8", "--out", str(tmp_path), "--ues", "2",
-                     "--ens", "2", "--deterministic"]) == 0
+        assert main(["gen", "--seed", "8", "--out", str(tmp_path), "--ues", "2", "--ens", "2"]) == 0
         capsys.readouterr()
         assert main(["bounds", str(tmp_path / "scenario.json")]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -146,9 +142,20 @@ class TestCommands:
         assert set(payload["suites"]) == {"monotonicity", "thresholds", "dp", "plan", "sandwich"}
         assert payload["failures"] == 0
 
+    @pytest.mark.parametrize("suite", ["plan", "sandwich"])
+    def test_verify_scenario_suite_passes(self, tmp_path, capsys, suite):
+        assert main(["gen", "--seed", "4", "--out", str(tmp_path), "--ues", "2", "--ens", "1",
+                     "--security-levels", "1"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "scenario.json"), "--suite", suite]) == 0
+        captured = capsys.readouterr()
+        assert f"PASS {suite}: 1 scenarios" in captured.err
+        payload = json.loads(captured.out)
+        assert list(payload["suites"]) == [suite]
+        assert payload["failures"] == 0
+
     def test_sweep_writes_csv(self, tmp_path, capsys):
-        assert main(["gen", "--seed", "2", "--out", str(tmp_path), "--ues", "1",
-                     "--ens", "1", "--deterministic"]) == 0
+        assert main(["gen", "--seed", "2", "--out", str(tmp_path), "--ues", "1", "--ens", "1"]) == 0
         capsys.readouterr()
         trace = tmp_path / "traces" / "ue_00.csv"
         out_csv = tmp_path / "sweep.csv"
@@ -158,9 +165,18 @@ class TestCommands:
         assert lines[0] == "alpha_l,alpha_u,car,fpr,fnr,ofr,utility"
         assert payload["rows"] == len(lines) - 1 == 9 * 10 // 2
 
-    def test_usage_error_exits_two(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],  # missing positional
+            # only solve stamps a time, so only solve takes --deterministic
+            ["gen", "--out", "{tmp}", "--deterministic"],
+            ["bounds", "{tmp}/scenario.json", "--deterministic"],
+        ],
+    )
+    def test_usage_error_exits_two(self, tmp_path, argv):
         with pytest.raises(SystemExit) as err:
-            main(["solve"])  # missing positional
+            main([arg.format(tmp=tmp_path) for arg in argv])
         assert err.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--ues", "--ens", "--security-levels"])

@@ -1,4 +1,4 @@
-import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -29,6 +29,14 @@ def channel(gain=1e-6, noise=1e-13, eav_gain=0.0, eav_noise=1e-13):
     )
 
 
+def shannon_reference(bandwidth, gain, power, noise):
+    """b*log2(1 + gP/(N0*b)) in 50-digit decimal arithmetic on the exact float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, g, p, n = map(Decimal, (bandwidth, gain, power, noise))
+        return float(b * (1 + g * p / (n * b)).ln() / Decimal(2).ln())
+
+
 class TestUplinkRate:
     def test_unit_snr_per_hz(self):
         # g*p/(sigma^2*b) == 1 at b == 1 gives exactly one bit/s
@@ -43,8 +51,7 @@ class TestUplinkRate:
 
     def test_scalar_value_against_direct_formula(self):
         rate = uplink_rate(LinkAllocation(2e6, 0.1), channel(gain=1e-6, noise=1e-13))
-        expected = 2e6 * math.log2(1.0 + (1e-6 * 0.1) / (1e-13 * 2e6))
-        assert rate == pytest.approx(expected, rel=1e-15)
+        assert rate == pytest.approx(shannon_reference(2e6, 1e-6, 0.1, 1e-13), rel=4e-16)
         assert rate == pytest.approx(1169925.0014423123, rel=1e-12)
 
     def test_monotone_in_power_and_bandwidth(self):
@@ -71,8 +78,7 @@ class TestEavesdropperRate:
     def test_scalar_value_against_direct_formula(self):
         ch = channel(eav_gain=1e-7)
         rate = eavesdropper_rate(LinkAllocation(1e6, 0.05), ch)
-        expected = 1e6 * math.log2(1.0 + (1e-7 * 0.05) / (1e-13 * 1e6))
-        assert rate == pytest.approx(expected, rel=1e-15)
+        assert rate == pytest.approx(shannon_reference(1e6, 1e-7, 0.05, 1e-13), rel=4e-16)
         assert rate == pytest.approx(70389.327891398, rel=1e-12)
 
 
@@ -189,18 +195,30 @@ class TestMinBandwidthForDeadline:
         with pytest.raises(InsecureLinkError):
             min_bandwidth_for_deadline(ch, 0.1, demand, 2e6)
 
-    def test_non_monotone_probe_falls_back_to_a_feasible_bandwidth(self):
-        # Far above gP/N0 the rate b*log2(1 + gP/(N0*b)) loses precision, so
-        # the 64-point probe sees the secure rate dip and the grid fallback runs.
+    def test_wide_band_channel_bisects_to_the_minimal_bandwidth(self):
+        # Far above gP/N0 the rate b*log2(1 + gP/(N0*b)) loses precision and
+        # dips between probe points; through log1p the secure rate keeps rising.
         ch = ChannelState(1e-9, 1e-13, 5e-10, 1e-13)
         power, cap = 1e-3, 1e9
         probe = [secrecy_rate(LinkAllocation(cap * (i + 1) / 64, power), ch) for i in range(64)]
-        assert any(b < a - 1e-9 * max(abs(a), 1.0) for a, b in zip(probe, probe[1:]))
+        assert all(b >= a for a, b in zip(probe, probe[1:]))
         required = 0.5 * secrecy_rate(LinkAllocation(cap, power), ch)
-        demand = OffloadDemand(feature_size_bits=required * 1.0, deadline_s=1.0)
+        demand = OffloadDemand(feature_size_bits=required, deadline_s=1.0)
         b = min_bandwidth_for_deadline(ch, power, demand, cap)
         assert 0.0 < b <= cap
         assert secrecy_rate(LinkAllocation(b, power), ch) >= required
+        assert secrecy_rate(LinkAllocation(b * (1 - 1e-6), power), ch) < required
+
+    def test_secure_rate_never_decreases_in_bandwidth(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            gain = 10 ** rng.uniform(-9, -3)
+            ch = channel(gain=gain, eav_gain=gain * rng.uniform(0.05, 0.95))
+            power, cap = 10 ** rng.uniform(-3, 1), 10 ** rng.uniform(4, 9)
+            rates = [
+                secrecy_rate(LinkAllocation(cap * (i + 1) / 64, power), ch) for i in range(64)
+            ]
+            assert all(b >= a for a, b in zip(rates, rates[1:])), (gain, power, cap)
 
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):

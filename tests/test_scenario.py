@@ -167,8 +167,8 @@ def _dotted(keys):
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
 
 
-def _edited(keys, value):
-    doc = copy.deepcopy(MINIMAL_DOC)
+def _edited(keys, value, document=MINIMAL_DOC):
+    doc = copy.deepcopy(document)
     parent = doc
     for key in keys[:-1]:
         parent = parent[key]
@@ -462,6 +462,10 @@ _WRONG_LEAVES = (
     + [(("plan", name), [["wrong"]]) for name in _PLAN_MATRICES]
     + [
         (("report", "iterations"), 1.5),
+        (("report", "iterations"), 1.0),
+        (("report", "objective"), float("nan")),
+        (("report", "objective"), float("inf")),
+        (("report", "objective"), float("-inf")),
         (("report", "feasible"), 1),
         (("report", "objective"), True),
         (("report", "per_user_utility"), ["wrong"]),
@@ -496,6 +500,18 @@ class TestBundleValidation:
             parent[keys[-1]] = value
         with pytest.raises(BundleSchemaError):
             bundle_from_dict(edited)
+
+    @pytest.mark.parametrize(
+        "keys, value, reason",
+        [
+            (("plan", "thresholds", 0), {"lower": 0.9, "upper": 0.1}, "thresholds must satisfy"),
+            (("plan", "power_w"), [[0.1]], "power_w must match"),
+        ],
+        ids=["inverted-thresholds", "one-by-one-power"],
+    )
+    def test_schema_valid_but_inconsistent_bundle_is_rejected(self, payload, keys, value, reason):
+        with pytest.raises(BundleSchemaError, match=reason):
+            bundle_from_dict(_edited(keys, value, payload))
 
     def test_unedited_payload_is_accepted(self, payload):
         assert bundle_to_dict(bundle_from_dict(copy.deepcopy(payload))) == payload

@@ -166,6 +166,24 @@ class TestCsvRoundTrip:
         with pytest.raises(TraceParseError):
             load_stream(path)
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("1,normal,nan", "outside open interval"),
+            ("1,normal,inf", "outside open interval"),
+            ("1,normal,-inf", "outside open interval"),
+            ("1,normal,0", "outside open interval"),
+            ("1,normal,1", "outside open interval"),
+            ("1,urgent,0.5", "unknown label 'urgent'"),
+        ],
+    )
+    def test_invalid_value_names_its_line(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"event_id,label,c_1\n0,critical,0.4\n{row}\n", encoding="utf-8")
+        with pytest.raises(TraceParseError, match=f"^line 3: .*{reason}") as err:
+            load_stream(path)
+        assert err.value.line == 3
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("id,label,c_1\n", encoding="utf-8")
