@@ -302,47 +302,54 @@ def objective(plan: AllocationPlan, scenario: Scenario) -> float:
     )
 
 
+def _split_rows(rows: Sequence[Sequence[float]], capacity: int) -> list[int]:
+    """Exact split of `capacity` units maximizing the sum of `rows[u][units]`.
+
+    Backward (max,+) recurrence over (user, remaining units); each row must
+    cover 0..capacity.  A strict `>` keeps the first best, so ties give the
+    smallest allocation to the earlier user.
+    """
+    after = [0.0] * (capacity + 1)
+    choices = []
+    for row in reversed(rows):
+        best, choice = [], []
+        for remaining in range(capacity + 1):
+            top_value = -math.inf
+            top_units = 0
+            for units in range(remaining + 1):
+                value = row[units] + after[remaining - units]
+                if value > top_value:
+                    top_value = value
+                    top_units = units
+            best.append(top_value)
+            choice.append(top_units)
+        after = best
+        choices.append(choice)
+    allocation = []
+    for choice in reversed(choices):
+        allocation.append(choice[capacity])
+        capacity -= allocation[-1]
+    return allocation
+
+
 def allocate_compute_dp(
     weights: Sequence[float], curves: Sequence[UtilityCurve], capacity: int
 ) -> list[int]:
     """Exact integer compute split maximizing the weighted log-utility sum.
 
-    Dynamic program over (user, remaining units); ties keep the smallest
+    Builds each user's `w*log(max(u(k), floor))` row for k = 0..capacity
+    and runs the `_split_rows` recurrence; ties keep the smallest
     allocation for the earlier-indexed user.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     if len(weights) != len(curves):
         raise ValueError("weights and curves must align")
-    count = len(weights)
-    if count == 0:
-        return []
-
-    values = [
-        [weights[u] * math.log(max(curves[u].value(w), LOG_UTILITY_FLOOR)) for w in range(capacity + 1)]
-        for u in range(count)
+    rows = [
+        [w * math.log(max(curve.value(k), LOG_UTILITY_FLOOR)) for k in range(capacity + 1)]
+        for w, curve in zip(weights, curves)
     ]
-    best = [[0.0] * (capacity + 1) for _ in range(count + 1)]
-    choice = [[0] * (capacity + 1) for _ in range(count)]
-    for u in range(count - 1, -1, -1):
-        for remaining in range(capacity + 1):
-            top_value = -math.inf
-            top_units = 0
-            for units in range(remaining + 1):
-                value = values[u][units] + best[u + 1][remaining - units]
-                if value > top_value:
-                    top_value = value
-                    top_units = units
-            best[u][remaining] = top_value
-            choice[u][remaining] = top_units
-
-    allocation = []
-    remaining = capacity
-    for u in range(count):
-        units = choice[u][remaining]
-        allocation.append(units)
-        remaining -= units
-    return allocation
+    return _split_rows(rows, capacity)
 
 
 def _min_bandwidth(scenario: Scenario, ue: UEProfile) -> tuple[float | None, str | None]:
@@ -382,8 +389,9 @@ class _SolveState:
     per-user table of `w*log(max(u(k), floor))` for k = 0..total units are
     fixed for the solve, so a split depends only on the capacity and the
     users sharing it: splits are keyed by (capacity, users) and each is
-    computed once by `allocate_compute_dp`.  Objectives are summed from
-    the table in user order, the same floats as `weighted_log_objective`.
+    computed once by `_split_rows` on the users' table rows, the same rows
+    `allocate_compute_dp` would build.  Objectives are summed from the
+    table in user order, the same floats as `weighted_log_objective`.
     """
 
     def __init__(self, scenario: Scenario, curves: Sequence[UtilityCurve] | None = None):
@@ -432,9 +440,7 @@ class _SolveState:
         key = (capacity, tuple(users))
         split = self._splits.get(key)
         if split is None:
-            split = allocate_compute_dp(
-                [self.weights[i] for i in users], [self.curves[i] for i in users], capacity
-            )
+            split = _split_rows([self._log_values[i] for i in users], capacity)
             self._splits[key] = split
         return split
 

@@ -448,7 +448,9 @@ def _suite_plan(seed: int, scenario: Scenario | None) -> tuple[bool, str]:
         )
         try:
             _, brute_obj = brute_force_plan(sc)
-        except OracleSizeError:
+        except OracleSizeError as err:
+            if scenario is not None:
+                return False, f"not checked: {err}"
             continue
         _, report = solve_alternating(sc, SolveOptions(mode="exhaustive"))
         runs += 1

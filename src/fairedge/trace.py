@@ -196,20 +196,23 @@ def save_stream(stream: EventStream, path: str | Path) -> None:
 def load_stream(path: str | Path) -> EventStream:
     """Parse a trace CSV; any defect raises TraceParseError naming the line."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln != ""]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.split("\n"), start=1) if ln != ""]
     if not lines:
         raise TraceParseError("empty file, expected a header row", line=1)
-    head = lines[0].split(",")
+    head_line, header = lines[0]
+    head = header.split(",")
     if len(head) < 3 or head[0] != "event_id" or head[1] != "label":
-        raise TraceParseError("header must be event_id,label,c_1,...,c_L", line=1)
+        raise TraceParseError("header must be event_id,label,c_1,...,c_L", line=head_line)
     layer_count = len(head) - 2
     for q, name in enumerate(head[2:], start=1):
         if name != f"c_{q}":
-            raise TraceParseError(f"confidence column {q} must be named c_{q}, got {name!r}", line=1)
+            raise TraceParseError(
+                f"confidence column {q} must be named c_{q}, got {name!r}", line=head_line
+            )
 
     traces = []
     seen: set[int] = set()
-    for lineno, row in enumerate(lines[1:], start=2):
+    for lineno, row in lines[1:]:
         parts = row.split(",")
         if len(parts) != layer_count + 2:
             raise TraceParseError(

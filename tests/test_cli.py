@@ -154,6 +154,17 @@ class TestCommands:
         assert list(payload["suites"]) == [suite]
         assert payload["failures"] == 0
 
+    def test_verify_plan_fails_on_a_scenario_the_oracle_cannot_enumerate(self, tmp_path, capsys):
+        assert main(["gen", "--seed", "1", "--out", str(tmp_path), "--ues", "8", "--ens", "3"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "scenario.json"), "--suite", "plan"]) == 1
+        captured = capsys.readouterr()
+        detail = "not checked: 6561 assignments exceed the oracle budget"
+        assert f"FAIL plan: {detail}" in captured.err
+        payload = json.loads(captured.out)
+        assert payload["suites"] == {"plan": {"passed": False, "detail": detail}}
+        assert payload["failures"] == 1
+
     def test_sweep_writes_csv(self, tmp_path, capsys):
         assert main(["gen", "--seed", "2", "--out", str(tmp_path), "--ues", "1", "--ens", "1"]) == 0
         capsys.readouterr()

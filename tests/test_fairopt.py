@@ -458,13 +458,14 @@ class TestSolveLayers:
         # counting wrappers on the module attributes the solver calls by name
         dp_inputs = []
         calls = collections.Counter()
-        real_dp = fairopt.allocate_compute_dp
+        real_dp = fairopt._split_rows
 
-        def counting_dp(weights, curves, capacity):
-            dp_inputs.append((capacity, tuple(map(id, curves))))
-            return real_dp(weights, curves, capacity)
+        def counting_dp(rows, capacity):
+            # a solve's log-utility rows live for the solve, so their ids name the users
+            dp_inputs.append((capacity, tuple(map(id, rows))))
+            return real_dp(rows, capacity)
 
-        monkeypatch.setattr(fairopt, "allocate_compute_dp", counting_dp)
+        monkeypatch.setattr(fairopt, "_split_rows", counting_dp)
         layers = ("assignment_search", "lower_bound", "upper_bound")
         for name in layers:
             def counting(*args, _name=name, _real=getattr(fairopt, name), **kwargs):

@@ -146,6 +146,20 @@ class TestCsvRoundTrip:
             load_stream(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("event_id,label,c_1\n0,critical,0.4\n\n1,normal,1.5\n", 4),
+            ("\nevent_id,label,c_2\n", 2),
+        ],
+    )
+    def test_line_numbers_count_blank_lines(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TraceParseError, match=f"^line {line}: ") as err:
+            load_stream(path)
+        assert err.value.line == line
+
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("event_id,label,c_1,c_2\n0,critical,0.4\n", encoding="utf-8")
