@@ -55,7 +55,7 @@ for steepness in (10.0, 50.0, 200.0):
 # is nearly flat and the search barely moves (the reason the exact scan is
 # the authoritative solver); started near the mass it climbs to the optimum.
 soft = SoftParams(steepness=25.0)
-_, best = optimal_thresholds(stream, len(stream.traces))
+_, best = optimal_thresholds(stream, len(stream))
 print()
 for label, init in [("plateau start", ThresholdPair(0.45, 0.85)),
                     ("warm start", ThresholdPair(0.40, 0.75))]:

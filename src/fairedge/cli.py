@@ -138,7 +138,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ThresholdPair(lo, up) for lo in values for up in values if lo <= up
     ]
     rows = write_sweep_csv(stream, pairs, args.out)
-    _say(f"swept {rows} threshold pairs over {len(stream.traces)} events")
+    _say(f"swept {rows} threshold pairs over {len(stream)} events")
     _emit({"command": "sweep", "rows": rows, "out": args.out})
     return 0
 
@@ -158,6 +158,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a random scenario plus trace files")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_non_negative_int, default=0)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--ues", type=_positive_int, default=3)
     p_gen.add_argument("--ens", type=_positive_int, default=2)
@@ -194,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run property suites against oracles")
     p_verify.add_argument("scenario", nargs="?", default=None)
     p_verify.add_argument("--suite", choices=("all", *oracle.SUITES), default="all")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_non_negative_int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="export threshold-sweep metrics CSV")
     p_sweep.add_argument("stream", help="trace CSV path")
-    p_sweep.add_argument("--resolution", type=int, default=25)
+    p_sweep.add_argument("--resolution", type=_positive_int, default=25)
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -123,23 +123,23 @@ def classify(trace: ConfidenceTrace, thr: ThresholdPair) -> Decision:
     return Decision(NORMAL, last, False)
 
 
+def _exits(scores: np.ndarray, thr: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
+    """The first-crossing rule on every row at once: whether each event exits
+    critical, and the index of its first crossing layer (0 if none)."""
+    low, high = scores <= thr.lower, scores >= thr.upper
+    first = (low | high).argmax(axis=1)
+    return (high & ~low)[np.arange(len(scores)), first], first
+
+
 def evaluate(stream: EventStream, thr: ThresholdPair) -> tuple[ConfusionCounts, MetricsReport]:
     """Confusion counts and the five rates for one threshold pair."""
-    tp = fp = tn = fn = 0
-    for trace in stream.traces:
-        predicted_critical = classify(trace, thr).predicted_label == CRITICAL
-        if trace.is_critical:
-            if predicted_critical:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted_critical:
-                fp += 1
-            else:
-                tn += 1
+    offloaded, _ = _exits(stream.scores, thr)
+    pos = int(stream.critical.sum())
+    tp = int((offloaded & stream.critical).sum())
+    fp = int(offloaded.sum()) - tp
+    tn, fn = len(stream) - pos - fp, pos - tp
     counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    total, pos, neg = counts.total, counts.positives, counts.negatives
+    total, neg = counts.total, counts.negatives
     report = MetricsReport(
         car=(tp + tn) / total if total else None,
         fpr=fp / neg if neg else None,
@@ -162,9 +162,9 @@ def _candidate_thresholds(matrix: np.ndarray) -> np.ndarray:
     return np.concatenate(([lo], scores, [hi]))
 
 
-@dataclass(frozen=True)
-class _PairTable:
-    """Best threshold pair for every offload budget.
+def _build_pair_table(stream: EventStream) -> tuple[np.ndarray, np.ndarray, int]:
+    """Candidate thresholds, the best packed key for every offload budget
+    0..n, and the critical-event count.
 
     For each candidate lower threshold, an event's fate is determined by the
     largest score it produces before its first at-or-below-lower crossing:
@@ -172,31 +172,11 @@ class _PairTable:
     running maximum is >= u.  Sorting the maxima lets one binary search count
     true positives and offloads for every candidate upper at once.
 
-    Entries are packed (tp, lower index, upper index) keys so a single
-    integer argmax realizes both the utility objective and the tie-break
-    preferring larger thresholds (fewer offloads) at equal utility.
+    Keys pack (tp, lower index, upper index) so a single integer argmax
+    realizes both the utility objective and the tie-break preferring larger
+    thresholds (fewer offloads) at equal utility.
     """
-
-    candidates: np.ndarray
-    best_key_upto: np.ndarray  # index = offload budget, clipped at stream size
-    positives: int
-
-    def query(self, offload_budget: int) -> tuple[ThresholdPair, float]:
-        if offload_budget < 0:
-            raise ValueError("offload budget must be >= 0")
-        budget = min(offload_budget, len(self.best_key_upto) - 1)
-        key = int(self.best_key_upto[budget])
-        k = len(self.candidates)
-        j = key % k
-        i = (key // k) % k
-        tp = key // (k * k)
-        pair = ThresholdPair(float(self.candidates[i]), float(self.candidates[j]))
-        return pair, tp / self.positives
-
-
-def _build_pair_table(stream: EventStream) -> _PairTable:
-    matrix = stream.to_matrix()
-    crit = stream.critical_mask()
+    matrix, crit = stream.scores, stream.critical
     n, layers = matrix.shape
     positives = int(crit.sum())
     if positives == 0:
@@ -222,17 +202,16 @@ def _build_pair_table(stream: EventStream) -> _PairTable:
         keys = (tp.astype(np.int64) * k + i) * k + np.arange(i, k, dtype=np.int64)
         np.maximum.at(best_key, offloads, keys)
 
-    return _PairTable(
-        candidates=cand,
-        best_key_upto=np.maximum.accumulate(best_key),
-        positives=positives,
-    )
+    return cand, np.maximum.accumulate(best_key), positives
 
 
 def optimal_thresholds(stream: EventStream, offload_budget: int) -> tuple[ThresholdPair, float]:
     """Exact utility-maximizing pair among candidate scores, at most
     `offload_budget` events offloaded; ties prefer larger thresholds."""
-    return _build_pair_table(stream).query(offload_budget)
+    if offload_budget < 0:
+        raise ValueError("offload budget must be >= 0")
+    curve = utility_curve(stream, min(offload_budget, len(stream)))
+    return curve.pairs[-1], float(curve.utilities[-1])
 
 
 @dataclass(frozen=True)
@@ -265,14 +244,12 @@ def utility_curve(stream: EventStream, max_budget: int) -> UtilityCurve:
     """Memoized exact threshold selection for every budget 0..max_budget."""
     if max_budget < 0:
         raise ValueError("max_budget must be >= 0")
-    table = _build_pair_table(stream)
-    utilities = np.empty(max_budget + 1)
-    pairs = []
-    for budget in range(max_budget + 1):
-        pair, value = table.query(budget)
-        utilities[budget] = value
-        pairs.append(pair)
-    return UtilityCurve(utilities=utilities, pairs=tuple(pairs))
+    cand, best_key, positives = _build_pair_table(stream)
+    keys = best_key[np.minimum(np.arange(max_budget + 1), len(stream))]
+    tp, pair_index = np.divmod(keys, len(cand) ** 2)
+    lower, upper = np.divmod(pair_index, len(cand))
+    pairs = tuple(map(ThresholdPair, cand[lower].tolist(), cand[upper].tolist()))
+    return UtilityCurve(utilities=tp / positives, pairs=pairs)
 
 
 def _sigmoid(z: float) -> float:
@@ -292,19 +269,15 @@ def soft_utility(stream: EventStream, thr: ThresholdPair, soft: SoftParams) -> f
     threshold, and like the exact utility it never increases when either
     threshold is raised.
     """
-    t = soft.steepness
-    positives = 0
-    total = 0.0
-    for trace in stream.traces:
-        if not trace.is_critical:
-            continue
-        positives += 1
-        decision = classify(trace, thr)
-        if decision.predicted_label == CRITICAL:
-            c = trace.confidences[decision.exit_layer - 1]
-            total += _sigmoid(t * (c - thr.lower)) * _sigmoid(t * (c - thr.upper))
+    positives = int(stream.critical.sum())
     if positives == 0:
         raise UndefinedMetricError("soft utility undefined: stream has no critical events")
+    offloaded, first = _exits(stream.scores, thr)
+    hits = np.flatnonzero(offloaded & stream.critical)
+    t = soft.steepness
+    total = 0.0
+    for c in stream.scores[hits, first[hits]].tolist():
+        total += _sigmoid(t * (c - thr.lower)) * _sigmoid(t * (c - thr.upper))
     return total / positives
 
 
@@ -369,22 +342,9 @@ def write_sweep_csv(
         return "nan" if value is None else format(value, ".10g")
 
     lines = ["alpha_l,alpha_u,car,fpr,fnr,ofr,utility"]
-    rows = 0
     for pair in pairs:
-        _, report = evaluate(stream, pair)
-        lines.append(
-            ",".join(
-                [
-                    format(pair.lower, ".10g"),
-                    format(pair.upper, ".10g"),
-                    cell(report.car),
-                    cell(report.fpr),
-                    cell(report.fnr),
-                    cell(report.ofr),
-                    cell(report.utility),
-                ]
-            )
-        )
-        rows += 1
+        _, r = evaluate(stream, pair)
+        cells = [format(pair.lower, ".10g"), format(pair.upper, ".10g")]
+        lines.append(",".join(cells + [cell(v) for v in (r.car, r.fpr, r.fnr, r.ofr, r.utility)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return rows
+    return len(lines) - 1

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from . import link as linkmod
 from .exitpolicy import ThresholdPair, UndefinedMetricError, UtilityCurve, evaluate, utility_curve
@@ -118,10 +119,10 @@ class Scenario:
 class AllocationPlan:
     """One full candidate solution; matrices are (users, edge nodes)."""
 
-    assignment: np.ndarray
-    bandwidth_hz: np.ndarray
-    power_w: np.ndarray
-    compute_units: np.ndarray
+    assignment: npt.NDArray[np.int64]
+    bandwidth_hz: npt.NDArray[np.float64]
+    power_w: npt.NDArray[np.float64]
+    compute_units: npt.NDArray[np.int64]
     thresholds: tuple[ThresholdPair, ...]
 
     def __post_init__(self):
@@ -420,7 +421,7 @@ class _SolveState:
     @functools.cached_property
     def curves(self) -> Sequence[UtilityCurve]:
         return [
-            utility_curve(ue.stream, min(self.total_units, len(ue.stream.traces)))
+            utility_curve(ue.stream, min(self.total_units, len(ue.stream)))
             for ue in self.scenario.ues
         ]
 

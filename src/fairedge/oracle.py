@@ -126,8 +126,7 @@ def brute_force_thresholds(
         raise ValueError("grid_resolution must be >= 2")
     if offload_budget < 0:
         raise ValueError("offload_budget must be >= 0")
-    matrix = stream.to_matrix()
-    crit = stream.critical_mask()
+    matrix, crit = stream.scores, stream.critical
     positives = int(crit.sum())
     if positives == 0:
         raise UndefinedMetricError("utility undefined: stream has no critical events")
@@ -161,8 +160,7 @@ def grid_best_utility(
     budget: OracleBudget = OracleBudget(),
 ) -> float:
     """Best feasible utility over a uniform grid only (no candidate scores)."""
-    matrix = stream.to_matrix()
-    crit = stream.critical_mask()
+    matrix, crit = stream.scores, stream.critical
     positives = int(crit.sum())
     if positives == 0:
         raise UndefinedMetricError("utility undefined: stream has no critical events")
@@ -228,11 +226,9 @@ def brute_force_plan(
     max_units = max(en.compute_units for en in scenario.ens)
     per_user: list[tuple[list[float], list[ThresholdPair]]] = []
     for ue in scenario.ues:
-        matrix = ue.stream.to_matrix()
-        crit = ue.stream.critical_mask()
-        if not crit.any():
+        if not ue.stream.critical.any():
             raise UndefinedMetricError("utility undefined: a UE stream has no critical events")
-        per_user.append(_best_per_budget(matrix, crit, max_units))
+        per_user.append(_best_per_budget(ue.stream.scores, ue.stream.critical, max_units))
 
     blocked = [i for i in range(n) if min_bw[i] is None]
     if blocked:
@@ -328,8 +324,7 @@ def check_monotonicity(stream: EventStream, samples: int, seed: int) -> Monotoni
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    matrix = stream.to_matrix()
-    crit = stream.critical_mask()
+    matrix, crit = stream.scores, stream.critical
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     checks = 0
@@ -397,7 +392,7 @@ def _suite_thresholds(seed: int, scenario: Scenario | None) -> tuple[bool, str]:
             seed=int(rng.integers(0, 2**31)),
         )
         stream = generate_stream(params, int(rng.integers(20, 40)))
-        budget = int(rng.integers(0, len(stream.traces) + 1))
+        budget = int(rng.integers(0, len(stream) + 1))
         _, exact = optimal_thresholds(stream, budget)
         _, brute = brute_force_thresholds(stream, budget, grid_resolution=31)
         if exact != brute:

@@ -235,12 +235,18 @@ def _without_none(kind: Any) -> Any:
     return kind
 
 
+def _scalar_type(kind: Any) -> type:
+    """The scalar type of an ``npt.NDArray[scalar]`` annotation."""
+    return typing.get_args(typing.get_args(kind)[1])[0]
+
+
 def _decode(kind: Any, value: Any) -> Any:
     """Build a value of the annotated type ``kind`` from its JSON form.
 
     Dataclass fields are read from their _DOC_PATHS location (absent ones
     keep their defaults), tuples are rebuilt from lists, matrices become
-    arrays, and JSON integers in float fields become floats.
+    arrays of their annotated dtype, and JSON integers in float fields
+    become floats.
     """
     if value is None:
         return None
@@ -255,8 +261,8 @@ def _decode(kind: Any, value: Any) -> Any:
         return kind(**kwargs)
     if typing.get_origin(kind) is tuple:
         return tuple(_decode(typing.get_args(kind)[0], item) for item in value)
-    if kind is np.ndarray:
-        return np.asarray(value)
+    if typing.get_origin(kind) is np.ndarray:
+        return np.asarray(value, dtype=_scalar_type(kind))
     if kind is float and type(value) is int:
         return float(value)
     return value
@@ -317,8 +323,9 @@ def _schema(kind: Any) -> dict:
         }
     if typing.get_origin(kind) is tuple:
         return {"type": "array", "items": _schema(typing.get_args(kind)[0])}
-    if kind is np.ndarray:
-        return {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
+    if typing.get_origin(kind) is np.ndarray:
+        item = "integer" if issubclass(_scalar_type(kind), np.integer) else "number"
+        return {"type": "array", "items": {"type": "array", "items": {"type": item}}}
     return {"type": _JSON_TYPES[kind]}
 
 
@@ -435,7 +442,8 @@ def random_scenario_config(
         )
         while True:
             params = GeneratorParams(seed=int(rng.integers(0, 2**31)), **base)
-            if len({t.true_label for t in generate_stream(params, count).traces}) == 2:
+            critical = generate_stream(params, count).critical
+            if critical.any() and not critical.all():
                 break
         ues.append(
             UEConfig(
@@ -577,7 +585,7 @@ def bundle_from_dict(payload: dict) -> ResultBundle:
         )
     try:
         return _decode(ResultBundle, {**payload, "counts": payload["metrics"]})
-    except ValueError as err:  # schema-valid values that the dataclasses reject
+    except (ValueError, OverflowError) as err:  # schema-valid values the types reject
         raise BundleSchemaError(f"inconsistent bundle: {err}") from None
 
 

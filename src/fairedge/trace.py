@@ -1,18 +1,19 @@
 """Event streams with per-layer confidence scores.
 
-A stream is an ordered collection of independent events; each event carries a
-ground-truth label (critical or normal) and one confidence score per
-classifier layer, every score strictly inside (0, 1).  Streams either come
-from the synthetic generator below (a class-conditional logit random walk) or
-from trace CSV files, so real classifier outputs can be plugged in unchanged.
+A stream is an ordered collection of independent events, held as columns:
+event ids, ground-truth labels (critical or normal) and one confidence score
+per event and classifier layer, every score strictly inside (0, 1).  Streams
+either come from the synthetic generator below (a class-conditional logit
+random walk) or from trace CSV files, so real classifier outputs can be
+plugged in unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,38 +71,55 @@ class ConfidenceTrace:
         return self.true_label == CRITICAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventStream:
-    """Ordered events sharing a common layer count; event ids are unique."""
+    """Ordered events as three read-only columns: unique int64 `event_ids` (n),
+    `critical` labels (n) and per-layer `scores` (n, layers), each score
+    strictly inside (0, 1)."""
 
-    traces: tuple[ConfidenceTrace, ...]
-    layer_count: int
+    event_ids: np.ndarray
+    critical: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "traces", tuple(self.traces))
-        if self.layer_count < 1:
-            raise ValueError("layer_count must be >= 1")
-        seen = set()
-        for t in self.traces:
-            if len(t.confidences) != self.layer_count:
-                raise ValueError(
-                    f"event {t.event_id} has {len(t.confidences)} layers, expected {self.layer_count}"
-                )
-            if t.event_id in seen:
-                raise ValueError(f"duplicate event_id {t.event_id}")
-            seen.add(t.event_id)
+        labels = np.asarray(self.critical)
+        if labels.size and labels.dtype != bool:
+            raise ValueError(f"critical must hold booleans, not {labels.dtype}")
+        for name, dtype in (("event_ids", np.int64), ("critical", bool), ("scores", float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.scores.ndim != 2 or self.scores.shape[1] < 1:
+            raise ValueError("scores must be an (events, layers) array with at least one layer")
+        if self.event_ids.shape != (len(self),) or self.critical.shape != (len(self),):
+            raise ValueError("event_ids and critical need one entry per row of scores")
+        if not ((self.scores > 0.0) & (self.scores < 1.0)).all():
+            raise ValueError("a confidence lies outside the open interval (0, 1)")
+        ids, counts = np.unique(self.event_ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"duplicate event_id {int(ids[counts > 1][0])}")
+
+    @property
+    def layer_count(self) -> int:
+        return self.scores.shape[1]
 
     def __len__(self) -> int:
-        return len(self.traces)
+        return self.scores.shape[0]
 
-    def to_matrix(self) -> np.ndarray:
-        """Confidence scores as an (events, layers) float array."""
-        if not self.traces:
-            return np.empty((0, self.layer_count), dtype=float)
-        return np.array([t.confidences for t in self.traces], dtype=float)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EventStream) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
-    def critical_mask(self) -> np.ndarray:
-        return np.array([t.is_critical for t in self.traces], dtype=bool)
+    def _rows(self) -> Iterator[tuple[int, str, list[float]]]:
+        """(event_id, label, scores) per event, as Python values."""
+        labels = [CRITICAL if c else NORMAL for c in self.critical.tolist()]
+        return zip(self.event_ids.tolist(), labels, self.scores.tolist())
+
+    @property
+    def traces(self) -> tuple[ConfidenceTrace, ...]:
+        """Per-event view of the columns, built on each access."""
+        return tuple(ConfidenceTrace(i, label, tuple(row)) for i, label, row in self._rows())
 
 
 @dataclass(frozen=True)
@@ -148,35 +166,33 @@ def confidence_from_logits(logits: LayerLogits) -> float:
 
 
 def generate_stream(params: GeneratorParams, count: int) -> EventStream:
-    """Draw `count` synthetic events; identical params and seed reproduce the stream exactly."""
+    """Draw `count` synthetic events; identical params and seed reproduce the stream exactly.
+
+    Scores use the scalar softmax: numpy's exp is not bit-identical to math.exp.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(params.seed)
-    traces = []
-    for event_id in range(count):
-        critical = rng.random() < params.critical_prior
-        drift = params.critical_drift if critical else params.normal_drift
+    critical, rows = [], []
+    for _ in range(count):
+        critical.append(rng.random() < params.critical_prior)
+        drift = params.critical_drift if critical[-1] else params.normal_drift
         steps = drift + params.noise_std * rng.standard_normal(params.layer_count)
         logit = 0.0
-        confs = []
+        row = []
         for step in steps:
             logit += step
             c = confidence_from_logits(LayerLogits(logit, 0.0))
-            confs.append(min(max(c, _CONF_CLAMP), 1.0 - _CONF_CLAMP))
-        traces.append(
-            ConfidenceTrace(
-                event_id=event_id,
-                true_label=CRITICAL if critical else NORMAL,
-                confidences=tuple(confs),
-            )
-        )
-    return EventStream(traces=tuple(traces), layer_count=params.layer_count)
+            row.append(min(max(c, _CONF_CLAMP), 1.0 - _CONF_CLAMP))
+        rows.append(row)
+    matrix = np.array(rows, dtype=float).reshape(count, params.layer_count)
+    return EventStream(event_ids=np.arange(count), critical=critical, scores=matrix)
 
 
 def stream_stats(stream: EventStream) -> StreamStats:
     """Event counts: total, critical, normal.  total == critical + normal always."""
-    critical = sum(1 for t in stream.traces if t.is_critical)
-    return StreamStats(len(stream.traces), critical, len(stream.traces) - critical)
+    critical = int(stream.critical.sum())
+    return StreamStats(len(stream), critical, len(stream) - critical)
 
 
 def _header(layer_count: int) -> str:
@@ -187,9 +203,9 @@ def _header(layer_count: int) -> str:
 def save_stream(stream: EventStream, path: str | Path) -> None:
     """Write the trace CSV (UTF-8, LF endings, 12 significant digits)."""
     lines = [_header(stream.layer_count)]
-    for t in stream.traces:
-        confs = ",".join(format(c, ".12g") for c in t.confidences)
-        lines.append(f"{t.event_id},{t.true_label},{confs}")
+    for event_id, label, row in stream._rows():
+        confs = ",".join(format(c, ".12g") for c in row)
+        lines.append(f"{event_id},{label},{confs}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -210,7 +226,7 @@ def load_stream(path: str | Path) -> EventStream:
                 f"confidence column {q} must be named c_{q}, got {name!r}", line=head_line
             )
 
-    traces = []
+    event_ids, critical, scores = [], [], []
     seen: set[int] = set()
     for lineno, row in lines[1:]:
         parts = row.split(",")
@@ -222,6 +238,8 @@ def load_stream(path: str | Path) -> EventStream:
             event_id = int(parts[0])
         except ValueError:
             raise TraceParseError(f"bad event_id {parts[0]!r}", line=lineno) from None
+        if not -(2**63) <= event_id < 2**63:
+            raise TraceParseError(f"event_id {event_id} outside the int64 range", line=lineno)
         if event_id in seen:
             raise TraceParseError(f"duplicate event_id {event_id}", line=lineno)
         seen.add(event_id)
@@ -231,8 +249,13 @@ def load_stream(path: str | Path) -> EventStream:
                 confs.append(float(raw))
             except ValueError:
                 raise TraceParseError(f"bad confidence {raw!r}", line=lineno) from None
-        try:  # ConfidenceTrace checks the label and the open interval
-            traces.append(ConfidenceTrace(event_id, parts[1], tuple(confs)))
-        except ValueError as err:
-            raise TraceParseError(str(err), line=lineno) from None
-    return EventStream(traces=tuple(traces), layer_count=layer_count)
+        if parts[1] not in LABELS:
+            raise TraceParseError(f"unknown label {parts[1]!r}", line=lineno)
+        for c in confs:
+            if not 0.0 < c < 1.0:
+                raise TraceParseError(f"confidence {c!r} outside open interval (0, 1)", line=lineno)
+        event_ids.append(event_id)
+        critical.append(parts[1] == CRITICAL)
+        scores.append(confs)
+    matrix = np.array(scores, dtype=float).reshape(len(scores), layer_count)
+    return EventStream(event_ids=event_ids, critical=critical, scores=matrix)

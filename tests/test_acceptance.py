@@ -108,7 +108,7 @@ def test_c02_exact_threshold_selection():
 
 def _margin_thresholds(stream):
     """Threshold pair at the widest score gaps, with the achieved margin."""
-    scores = np.unique(stream.to_matrix())
+    scores = np.unique(stream.scores)
 
     def widest(lo_w, hi_w):
         vals = np.concatenate(([lo_w], scores[(scores > lo_w) & (scores < hi_w)], [hi_w]))

@@ -183,12 +183,26 @@ class TestCommands:
             # only solve stamps a time, so only solve takes --deterministic
             ["gen", "--out", "{tmp}", "--deterministic"],
             ["bounds", "{tmp}/scenario.json", "--deterministic"],
+            ["gen", "--seed", "-1", "--out", "{tmp}"],
+            ["verify", "--seed", "-1", "--suite", "dp"],
         ],
     )
     def test_usage_error_exits_two(self, tmp_path, argv):
         with pytest.raises(SystemExit) as err:
             main([arg.format(tmp=tmp_path) for arg in argv])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_sweep_rejects_non_positive_resolution(self, tmp_path, capsys, value):
+        assert main(["gen", "--seed", "2", "--out", str(tmp_path), "--ues", "1", "--ens", "1"]) == 0
+        capsys.readouterr()
+        out_csv = tmp_path / "sweep.csv"
+        argv = ["sweep", str(tmp_path / "traces" / "ue_00.csv"), "--resolution", value]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(out_csv)])
+        assert err.value.code == 2
+        assert "argument --resolution: expected a positive integer" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("flag", ["--ues", "--ens", "--security-levels"])
     @pytest.mark.parametrize("value", ["0", "-1", "two"])

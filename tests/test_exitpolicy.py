@@ -1,7 +1,11 @@
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairedge.exitpolicy import (
     ConfusionCounts,
@@ -28,11 +32,11 @@ from fairedge.trace import (
 
 def make_stream(rows):
     """rows: list of (label, confidences)."""
-    layer_count = len(rows[0][1])
-    traces = tuple(
-        ConfidenceTrace(i, label, tuple(confs)) for i, (label, confs) in enumerate(rows)
+    return EventStream(
+        event_ids=np.arange(len(rows)),
+        critical=[label == CRITICAL for label, _ in rows],
+        scores=[confs for _, confs in rows],
     )
-    return EventStream(traces=traces, layer_count=layer_count)
 
 
 def gen(seed, count=40, layers=4, prior=0.4, drift=0.7, noise=0.5):
@@ -94,7 +98,7 @@ class TestEvaluate:
 
     def test_wide_band_offloads_nothing(self):
         stream = gen(seed=5, count=30)
-        scores = stream.to_matrix()
+        scores = stream.scores
         thr = ThresholdPair(float(scores.min()) / 2, (float(scores.max()) + 1) / 2)
         counts, report = evaluate(stream, thr)
         assert counts.tp == 0 and counts.fp == 0
@@ -116,7 +120,9 @@ class TestEvaluate:
         assert report.fpr is None
 
     def test_empty_stream_has_no_rates(self):
-        counts, report = evaluate(EventStream(traces=(), layer_count=2), ThresholdPair(0.2, 0.8))
+        counts, report = evaluate(
+            EventStream(event_ids=[], critical=[], scores=np.empty((0, 2))), ThresholdPair(0.2, 0.8)
+        )
         assert counts.total == 0
         assert report.car is None and report.ofr is None and report.utility is None
 
@@ -315,6 +321,67 @@ class TestSoftUtility:
             _, report = evaluate(stream, thr)
             value = soft_utility(stream, thr, SoftParams(steepness=80.0))
             assert value <= report.utility + 1e-12
+
+
+# A small score set shared by events and thresholds, so that scores land
+# exactly on either threshold and lower == upper is drawn often.
+_TIED_SCORES = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+@st.composite
+def tied_streams_and_pairs(draw):
+    layers = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    row = st.lists(st.sampled_from(_TIED_SCORES), min_size=layers, max_size=layers)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    critical = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lower = draw(st.sampled_from(_TIED_SCORES))
+    upper = draw(st.sampled_from([s for s in _TIED_SCORES if s >= lower]))
+    stream = EventStream(
+        event_ids=np.arange(n), critical=critical, scores=np.reshape(rows, (n, layers))
+    )
+    return stream, ThresholdPair(lower, upper)
+
+
+class TestColumnarRuleAgainstClassify:
+    """`evaluate` and `soft_utility` apply the first-crossing rule to the whole
+    score matrix; `classify` on each event of the `traces` view is the
+    reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_streams_and_pairs())
+    def test_evaluate_counts_equal_classify_tally(self, case):
+        stream, thr = case
+        tally = Counter()
+        for trace in stream.traces:
+            offloaded = classify(trace, thr).offloaded
+            if trace.is_critical:
+                tally["tp" if offloaded else "fn"] += 1
+            else:
+                tally["fp" if offloaded else "tn"] += 1
+        counts, _ = evaluate(stream, thr)
+        assert counts == ConfusionCounts(tally["tp"], tally["fp"], tally["tn"], tally["fn"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_streams_and_pairs(), st.sampled_from([0.5, 8.0, 60.0]))
+    def test_soft_utility_equals_per_event_sum_bit_for_bit(self, case, steepness):
+        stream, thr = case
+        critical = [trace for trace in stream.traces if trace.is_critical]
+        if not critical:
+            with pytest.raises(UndefinedMetricError):
+                soft_utility(stream, thr, SoftParams(steepness))
+            return
+
+        def sigmoid(z):
+            return 1.0 / (1.0 + math.exp(-z)) if z >= 0.0 else math.exp(z) / (1.0 + math.exp(z))
+
+        total = 0.0
+        for trace in critical:
+            decision = classify(trace, thr)
+            if decision.offloaded:
+                c = trace.confidences[decision.exit_layer - 1]
+                total += sigmoid(steepness * (c - thr.lower)) * sigmoid(steepness * (c - thr.upper))
+        assert soft_utility(stream, thr, SoftParams(steepness)) == total / len(critical)
 
 
 class TestProjectedGradientSearch:

@@ -39,7 +39,7 @@ from fairedge.fairopt import (
 )
 from fairedge.link import ChannelState, EnergyModel, OffloadDemand
 from fairedge.scenario import random_scenario
-from fairedge.trace import CRITICAL, NORMAL, ConfidenceTrace, EventStream, GeneratorParams, generate_stream
+from fairedge.trace import CRITICAL, NORMAL, EventStream, GeneratorParams, generate_stream
 
 
 def clear_channel(gain=1e-5):
@@ -55,11 +55,11 @@ def blocked_channel():
 
 
 def make_stream(rows, start_id=0):
-    layer_count = len(rows[0][1])
-    traces = tuple(
-        ConfidenceTrace(start_id + i, label, tuple(confs)) for i, (label, confs) in enumerate(rows)
+    return EventStream(
+        event_ids=np.arange(start_id, start_id + len(rows)),
+        critical=[label == CRITICAL for label, _ in rows],
+        scores=[confs for _, confs in rows],
     )
-    return EventStream(traces=traces, layer_count=layer_count)
 
 
 def make_ue(stream=None, weight=1.0, level=1, channel=None, deadline=0.5, bits=1e4):

@@ -9,7 +9,7 @@ from fairedge.fairopt import InfeasibleScenarioError, SolveOptions, solve_altern
 from fairedge.link import ChannelState, EnergyModel, OffloadDemand
 from fairedge.fairopt import ENProfile, Scenario, UEProfile
 from fairedge.scenario import random_scenario
-from fairedge.trace import CRITICAL, ConfidenceTrace, EventStream, GeneratorParams, generate_stream
+from fairedge.trace import EventStream, GeneratorParams, generate_stream
 
 
 def gen(seed, count=25, layers=3):
@@ -42,9 +42,7 @@ class TestBruteForceThresholds:
         assert brute == exact
 
     def test_no_critical_events_is_undefined(self):
-        stream = EventStream(
-            traces=(ConfidenceTrace(0, "normal", (0.4, 0.5)),), layer_count=2
-        )
+        stream = EventStream(event_ids=[0], critical=[False], scores=[[0.4, 0.5]])
         with pytest.raises(UndefinedMetricError):
             oracle.brute_force_thresholds(stream, 1, grid_resolution=5)
 
@@ -96,9 +94,7 @@ class TestBruteForcePlan:
             assert report.objective <= bobj + 1e-9
 
     def test_infeasible_deadline_matches_solver(self):
-        stream = EventStream(
-            traces=(ConfidenceTrace(0, CRITICAL, (0.9,)),), layer_count=1
-        )
+        stream = EventStream(event_ids=[0], critical=[True], scores=[[0.9]])
         ue = UEProfile(
             weight=1.0,
             security_level=1,
@@ -148,16 +144,14 @@ class TestCheckMonotonicity:
 
     def test_zero_size_perturbation_changes_nothing(self):
         stream = gen(2, count=40)
-        matrix = stream.to_matrix()
-        crit = stream.critical_mask()
+        matrix, crit = stream.scores, stream.critical
         for lower, upper in ((0.3, 0.7), (0.1, 0.9), (0.5, 0.5)):
             base = oracle._pair_counts(matrix, crit, lower, upper)
             assert oracle._pair_counts(matrix, crit, lower, upper) == base
 
     def test_raising_upper_to_near_one_never_gains(self):
         stream = gen(6, count=50)
-        matrix = stream.to_matrix()
-        crit = stream.critical_mask()
+        matrix, crit = stream.scores, stream.critical
         for lower in (0.1, 0.3, 0.5):
             tp_base, _ = oracle._pair_counts(matrix, crit, lower, 0.6)
             tp_high, _ = oracle._pair_counts(matrix, crit, lower, 1.0 - 1e-9)

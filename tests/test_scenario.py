@@ -391,6 +391,13 @@ class TestBundles:
         assert np.array_equal(loaded.plan.assignment, bundle.plan.assignment)
         assert loaded.plan.thresholds == bundle.plan.thresholds
 
+    def test_plan_matrices_read_back_with_their_dtypes(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        write_bundle(make_bundle(), path)
+        plan = read_bundle(path).plan
+        assert plan.assignment.dtype == plan.compute_units.dtype == np.int64
+        assert plan.bandwidth_hz.dtype == plan.power_w.dtype == np.float64
+
     def test_rewrite_is_byte_stable(self, tmp_path):
         bundle = make_bundle(3)
         first = tmp_path / "one.json"
@@ -471,6 +478,8 @@ _WRONG_LEAVES = (
         (("report", "per_user_utility"), ["wrong"]),
         (("report", "diagnostics", 0, "user"), 0.5),
         (("metrics", 0, "tp"), 0.5),
+        (("plan", "assignment", 0, 1), 0.5),
+        (("plan", "compute_units", 1, 0), 5.25),
         (("created_at",), None),
         (("config_digest",), "0" * 63),
         (("config",), []),
@@ -506,8 +515,9 @@ class TestBundleValidation:
         [
             (("plan", "thresholds", 0), {"lower": 0.9, "upper": 0.1}, "thresholds must satisfy"),
             (("plan", "power_w"), [[0.1]], "power_w must match"),
+            (("plan", "compute_units", 1, 0), 2**70, "too large"),
         ],
-        ids=["inverted-thresholds", "one-by-one-power"],
+        ids=["inverted-thresholds", "one-by-one-power", "int64-overflow-units"],
     )
     def test_schema_valid_but_inconsistent_bundle_is_rejected(self, payload, keys, value, reason):
         with pytest.raises(BundleSchemaError, match=reason):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -81,28 +82,95 @@ class TestGenerateStream:
 
     def test_confidences_stay_in_open_interval(self):
         stream = generate_stream(make_params(critical_drift=5.0, noise_std=2.0, layer_count=6), 200)
-        matrix = stream.to_matrix()
+        matrix = stream.scores
         assert np.all(matrix > 0.0) and np.all(matrix < 1.0)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             generate_stream(make_params(), -1)
 
+    def test_generated_stream_is_pinned_bit_for_bit(self):
+        # Recorded from the per-event generator.  The scores come from the
+        # scalar softmax; numpy's vectorised exp differs from math.exp in a
+        # few percent of values and would change these bits.
+        stream = generate_stream(make_params(), 60)
+        digest = hashlib.sha256(stream.scores.tobytes()).hexdigest()
+        assert digest == "b50084f654bb8772d5ef19aa8ed0bade8dd7377c5a61580bb1195d124c664c9b"
+        labels = "".join("C" if c else "N" for c in stream.critical)
+        assert labels == "CCNNNNCNCNCNCCCCNNCNCNCNNCNNCNCCCCNCNNNCCNCCNCNNNCNCNCCNCNCC"
+        assert stream.event_ids.tolist() == list(range(60))
+
+
+class TestEventStreamColumns:
+    def make(self):
+        return EventStream(
+            event_ids=[7, 3, 5],
+            critical=[True, False, True],
+            scores=[[0.9, 0.2], [0.1, 0.4], [0.5, 0.6]],
+        )
+
+    def test_shape_is_derived_from_scores(self):
+        stream = self.make()
+        assert len(stream) == 3 and stream.layer_count == 2
+        assert stream.event_ids.dtype == np.int64 and stream.critical.dtype == bool
+
+    @pytest.mark.parametrize("name", ["event_ids", "critical", "scores"])
+    def test_columns_are_read_only(self, name):
+        column = getattr(self.make(), name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+
+    def test_columns_are_copies_of_the_inputs(self):
+        scores = np.array([[0.5, 0.5]])
+        stream = EventStream(event_ids=[0], critical=[True], scores=scores)
+        scores[0, 0] = 0.25
+        assert stream.scores[0, 0] == 0.5
+
+    def test_value_equality(self):
+        assert self.make() == self.make()
+        other = EventStream(
+            event_ids=[7, 3, 5], critical=[True, False, False], scores=self.make().scores
+        )
+        assert other != self.make()
+        assert self.make() != "stream"
+
+    def test_traces_view_mirrors_the_columns(self):
+        traces = self.make().traces
+        assert traces == (
+            ConfidenceTrace(7, CRITICAL, (0.9, 0.2)),
+            ConfidenceTrace(3, NORMAL, (0.1, 0.4)),
+            ConfidenceTrace(5, CRITICAL, (0.5, 0.6)),
+        )
+
+    @pytest.mark.parametrize(
+        "columns, reason",
+        [
+            (([0], ["critical"], [[0.5]]), "critical must hold booleans"),
+            (([0, 1], [True], [[0.5], [0.5]]), "one entry per row"),
+            (([0], [True], [0.5]), "events, layers"),
+            (([0], [True], np.empty((1, 0))), "at least one layer"),
+            (([0, 1], [True, False], [[0.5], [1.0]]), "outside the open interval"),
+        ],
+    )
+    def test_rejects_malformed_columns(self, columns, reason):
+        ids, critical, scores = columns
+        with pytest.raises(ValueError, match=reason):
+            EventStream(event_ids=ids, critical=critical, scores=scores)
+
 
 class TestStreamStats:
     def test_mixed_counts(self):
-        traces = [
-            ConfidenceTrace(i, CRITICAL if i < 4 else NORMAL, (0.5,)) for i in range(10)
-        ]
-        stats = stream_stats(EventStream(traces=tuple(traces), layer_count=1))
+        critical = [i < 4 for i in range(10)]
+        stats = stream_stats(EventStream(event_ids=range(10), critical=critical, scores=[[0.5]] * 10))
         assert stats == (10, 4, 6)
 
     def test_empty_stream(self):
-        assert stream_stats(EventStream(traces=(), layer_count=2)) == (0, 0, 0)
+        empty = EventStream(event_ids=[], critical=[], scores=np.empty((0, 2)))
+        assert stream_stats(empty) == (0, 0, 0)
 
     def test_all_critical(self):
-        traces = [ConfidenceTrace(i, CRITICAL, (0.5,)) for i in range(5)]
-        assert stream_stats(EventStream(traces=tuple(traces), layer_count=1)) == (5, 5, 0)
+        stream = EventStream(event_ids=range(5), critical=[True] * 5, scores=[[0.5]] * 5)
+        assert stream_stats(stream) == (5, 5, 0)
 
     def test_partition_identity_on_random_streams(self):
         for seed in range(20):
@@ -198,6 +266,22 @@ class TestCsvRoundTrip:
             load_stream(path)
         assert err.value.line == 3
 
+    def test_first_defective_line_is_named(self, tmp_path):
+        # both data rows are defective; the earlier one is reported
+        path = tmp_path / "bad.csv"
+        path.write_text("event_id,label,c_1\n0,critical,1.5\n1,urgent,0.5\n", encoding="utf-8")
+        with pytest.raises(TraceParseError, match="^line 2: .*outside open interval") as err:
+            load_stream(path)
+        assert err.value.line == 2
+
+    def test_event_id_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        text = f"event_id,label,c_1\n0,critical,0.5\n{2**63},normal,0.5\n"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TraceParseError, match="^line 3: .*int64") as err:
+            load_stream(path)
+        assert err.value.line == 3
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("id,label,c_1\n", encoding="utf-8")
@@ -214,17 +298,9 @@ class TestInvariants:
             ConfidenceTrace(0, CRITICAL, (1.0,))
 
     def test_stream_rejects_inconsistent_layers(self):
-        traces = (
-            ConfidenceTrace(0, CRITICAL, (0.5, 0.5)),
-            ConfidenceTrace(1, NORMAL, (0.5,)),
-        )
         with pytest.raises(ValueError):
-            EventStream(traces=traces, layer_count=2)
+            EventStream(event_ids=[0, 1], critical=[True, False], scores=[[0.5, 0.5], [0.5]])
 
     def test_stream_rejects_duplicate_ids(self):
-        traces = (
-            ConfidenceTrace(0, CRITICAL, (0.5,)),
-            ConfidenceTrace(0, NORMAL, (0.4,)),
-        )
-        with pytest.raises(ValueError):
-            EventStream(traces=traces, layer_count=1)
+        with pytest.raises(ValueError, match="duplicate event_id 0"):
+            EventStream(event_ids=[0, 0], critical=[True, False], scores=[[0.5], [0.4]])
