@@ -7,8 +7,8 @@ piped.  All randomness flows from the explicit --seed flag, so identical
 invocations produce byte-identical output; only `solve` stamps a time, which
 its --deterministic flag drops.
 
-Exit codes: 0 success, 1 infeasible scenario or failed check, 2 usage or
-parse error.
+Exit codes: 0 success, 1 infeasible scenario or failed check, 2 usage,
+parse or file error.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .scenario import (
     serialize_document,
     write_bundle,
 )
-from .trace import TraceParseError, generate_stream, load_stream, save_stream
+from .trace import TraceParseError, load_stream, save_stream
 
 
 def _emit(payload: dict) -> None:
@@ -60,7 +60,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     file_ues = []
     for i, ue in enumerate(config.ues):
         rel = f"traces/ue_{i:02d}.csv"
-        save_stream(generate_stream(ue.generator.params, ue.generator.count), out_dir / rel)
+        save_stream(ue.generator.stream, out_dir / rel)
         file_ues.append(dataclasses.replace(ue, generator=None, trace_file=rel))
     file_config = dataclasses.replace(config, ues=tuple(file_ues))
     scenario_path = out_dir / "scenario.json"
@@ -228,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         _say(f"error: {err}")
         _emit({"error": {"kind": "failed-check", "message": str(err)}})
         return 1
-    except FileNotFoundError as err:
+    except OSError as err:
         _say(f"error: {err}")
         return 2
 

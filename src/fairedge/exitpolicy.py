@@ -14,14 +14,13 @@ gradient ascent are provided for smooth, approximate search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .trace import CRITICAL, NORMAL, ConfidenceTrace, EventStream
+from .trace import CRITICAL, NORMAL, ConfidenceTrace, EventStream, sigmoid
 
 # Sentinel offset placing candidate thresholds just outside the observed
 # score range, so "never exit early" and "exit everything" are reachable.
@@ -252,13 +251,6 @@ def utility_curve(stream: EventStream, max_budget: int) -> UtilityCurve:
     return UtilityCurve(utilities=tp / positives, pairs=pairs)
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 def soft_utility(stream: EventStream, thr: ThresholdPair, soft: SoftParams) -> float:
     """Smooth surrogate of the utility.
 
@@ -277,7 +269,7 @@ def soft_utility(stream: EventStream, thr: ThresholdPair, soft: SoftParams) -> f
     t = soft.steepness
     total = 0.0
     for c in stream.scores[hits, first[hits]].tolist():
-        total += _sigmoid(t * (c - thr.lower)) * _sigmoid(t * (c - thr.upper))
+        total += sigmoid(t * (c - thr.lower)) * sigmoid(t * (c - thr.upper))
     return total / positives
 
 

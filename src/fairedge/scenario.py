@@ -29,7 +29,7 @@ from jsonschema import Draft202012Validator, ValidationError, validators
 from .exitpolicy import ConfusionCounts, MetricsReport
 from .fairopt import AllocationPlan, ENProfile, Scenario, SolveReport, UEProfile
 from .link import ChannelState, EnergyModel, LinkAllocation, OffloadDemand, secrecy_rate
-from .trace import GeneratorParams, generate_stream, load_stream
+from .trace import EventStream, GeneratorParams, generate_stream, load_stream
 
 BUNDLE_SCHEMA_VERSION = 1
 
@@ -56,6 +56,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be >= 0")
+
+    @functools.cached_property
+    def stream(self) -> EventStream:
+        """The generated events, drawn once; the spec is frozen, so they never go stale."""
+        return generate_stream(self.params, self.count)
 
 
 @dataclass(frozen=True)
@@ -370,7 +375,7 @@ def realize(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario:
             energy=ue.energy,
             stream=load_stream(Path(base_dir) / ue.trace_file)
             if ue.trace_file is not None
-            else generate_stream(ue.generator.params, ue.generator.count),
+            else ue.generator.stream,
         )
         for ue in config.ues
     )
@@ -416,6 +421,9 @@ def random_scenario_config(
         raise ValueError("n_ues and n_ens must be >= 1")
     if not 0.0 <= advantage_probability <= 1.0:
         raise ValueError("advantage_probability must be in [0, 1]")
+    # A stream of fewer than two events can never hold both classes.
+    if not 2 <= event_count_range[0] <= event_count_range[1]:
+        raise ValueError("event_count_range must satisfy 2 <= low <= high")
     rng = np.random.default_rng(seed)
     noise_psd = 1e-13
 
@@ -441,8 +449,8 @@ def random_scenario_config(
             noise_std=float(rng.uniform(0.3, 0.7)),
         )
         while True:
-            params = GeneratorParams(seed=int(rng.integers(0, 2**31)), **base)
-            critical = generate_stream(params, count).critical
+            spec = GeneratorSpec(GeneratorParams(seed=int(rng.integers(0, 2**31)), **base), count)
+            critical = spec.stream.critical
             if critical.any() and not critical.all():
                 break
         ues.append(
@@ -461,7 +469,7 @@ def random_scenario_config(
                         for _ in range(int(rng.integers(2, 5)))
                     ),
                 ),
-                generator=GeneratorSpec(params=params, count=count),
+                generator=spec,
             )
         )
 

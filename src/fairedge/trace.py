@@ -153,22 +153,23 @@ class StreamStats(NamedTuple):
     normal: int
 
 
-def confidence_from_logits(logits: LayerLogits) -> float:
-    """Two-class softmax probability of the critical class.
+def sigmoid(z: float) -> float:
+    """Logistic function, evaluated so that no exponential can overflow."""
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
 
-    Computed with the max logit subtracted first so large magnitudes cannot
-    overflow the exponentials.
-    """
-    m = max(logits.critical_logit, logits.normal_logit)
-    e_crit = math.exp(logits.critical_logit - m)
-    e_norm = math.exp(logits.normal_logit - m)
-    return e_crit / (e_crit + e_norm)
+
+def confidence_from_logits(logits: LayerLogits) -> float:
+    """Two-class softmax probability of the critical class."""
+    return sigmoid(logits.critical_logit - logits.normal_logit)
 
 
 def generate_stream(params: GeneratorParams, count: int) -> EventStream:
     """Draw `count` synthetic events; identical params and seed reproduce the stream exactly.
 
-    Scores use the scalar softmax: numpy's exp is not bit-identical to math.exp.
+    Scores use the scalar sigmoid: numpy's exp is not bit-identical to math.exp.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -182,8 +183,10 @@ def generate_stream(params: GeneratorParams, count: int) -> EventStream:
         row = []
         for step in steps:
             logit += step
-            c = confidence_from_logits(LayerLogits(logit, 0.0))
-            row.append(min(max(c, _CONF_CLAMP), 1.0 - _CONF_CLAMP))
+            row.append(min(max(sigmoid(logit), _CONF_CLAMP), 1.0 - _CONF_CLAMP))
+        # A non-finite step leaves every later running sum non-finite.
+        if not math.isfinite(logit):
+            raise ValueError("logits must be finite")
         rows.append(row)
     matrix = np.array(rows, dtype=float).reshape(count, params.layer_count)
     return EventStream(event_ids=np.arange(count), critical=critical, scores=matrix)

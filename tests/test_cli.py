@@ -117,8 +117,21 @@ class TestCommands:
         bad.write_text("{")
         assert main(["solve", str(bad)]) == 2
 
-    def test_missing_file_exits_two(self, tmp_path):
-        assert main(["solve", str(tmp_path / "nope.json")]) == 2
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "{tmp}/nope.json"],
+            ["solve", "{tmp}"],
+            ["solve", "{tmp}/out/scenario.json", "--out", "{tmp}"],
+            ["sweep", "{tmp}/out/traces/ue_00.csv", "--out", "{tmp}"],
+            ["gen", "--out", "{tmp}/out/scenario.json"],
+        ],
+    )
+    def test_missing_file_exits_two(self, tmp_path, capsys, args):
+        assert main(["gen", "--seed", "3", "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main([arg.format(tmp=tmp_path) for arg in args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bounds_reports_gap_fields(self, tmp_path, capsys):
         assert main(["gen", "--seed", "8", "--out", str(tmp_path), "--ues", "2", "--ens", "2"]) == 0

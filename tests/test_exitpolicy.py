@@ -256,14 +256,14 @@ class TestUtilityCurve:
 
     def test_full_budget_matches_unconstrained_optimum(self):
         stream = gen(seed=8, count=30)
-        curve = utility_curve(stream, len(stream.traces))
-        _, unconstrained = optimal_thresholds(stream, len(stream.traces))
-        assert curve.value(len(stream.traces)) == unconstrained
+        curve = utility_curve(stream, len(stream))
+        _, unconstrained = optimal_thresholds(stream, len(stream))
+        assert curve.value(len(stream)) == unconstrained
 
     def test_lookup_saturates_beyond_built_budget(self):
         stream = gen(seed=8, count=30)
-        curve = utility_curve(stream, len(stream.traces))
-        assert curve.value(10_000) == curve.value(len(stream.traces))
+        curve = utility_curve(stream, len(stream))
+        assert curve.value(10_000) == curve.value(len(stream))
 
 
 class TestMonotonicityProperty:
@@ -409,7 +409,7 @@ class TestProjectedGradientSearch:
     @pytest.mark.parametrize("seed", range(20))
     def test_reaches_near_exact_optimum_on_smooth_instances(self, seed):
         stream = gen(seed=100 + seed, count=30, layers=3, drift=0.9, noise=0.35)
-        _, best = optimal_thresholds(stream, len(stream.traces))
+        _, best = optimal_thresholds(stream, len(stream))
         rng = np.random.default_rng(seed)
         lo = rng.uniform(0.2, 0.6)
         init = ThresholdPair(lo, rng.uniform(lo, 0.9))

@@ -96,7 +96,7 @@ def solver_inputs(scenario):
     min_bw = _SolveState(scenario).min_bw
     assert all(bw is not None for bw in min_bw)
     total_units = sum(en.compute_units for en in scenario.ens)
-    curves = [utility_curve(ue.stream, min(total_units, len(ue.stream.traces)))
+    curves = [utility_curve(ue.stream, min(total_units, len(ue.stream)))
               for ue in scenario.ues]
     return curves, min_bw
 
@@ -391,9 +391,9 @@ class TestSolveAlternating:
             normal_drift=-0.8, noise_std=0.4, seed=3,
         )
         stream = generate_stream(params, 30)
-        scenario = make_scenario([make_ue(stream=stream)], [make_en(units=len(stream.traces))])
+        scenario = make_scenario([make_ue(stream=stream)], [make_en(units=len(stream))])
         plan, report = solve_alternating(scenario)
-        _, best = optimal_thresholds(stream, len(stream.traces))
+        _, best = optimal_thresholds(stream, len(stream))
         assert report.per_user_utility[0] == best
         _, rep = evaluate(stream, plan.thresholds[0])
         assert rep.utility == best

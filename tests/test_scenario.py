@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from fairedge import cli
+from fairedge import cli, scenario as scenario_mod
 from fairedge.fairopt import SolveOptions, SolveReport, UserDiagnostics, solve_alternating
 from fairedge.exitpolicy import ConfusionCounts, MetricsReport, evaluate
 from fairedge.scenario import (
@@ -71,7 +72,7 @@ class TestParseScenario:
     def test_minimal_document_parses(self):
         scenario = parse_scenario(MINIMAL_DOC)
         assert len(scenario.ues) == 1 and len(scenario.ens) == 1
-        assert len(scenario.ues[0].stream.traces) == 20
+        assert len(scenario.ues[0].stream) == 20
 
     def test_parse_accepts_json_text(self):
         scenario = parse_scenario(json.dumps(MINIMAL_DOC))
@@ -145,7 +146,7 @@ class TestParseScenario:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         scenario = load_scenario(path)
-        assert len(scenario.ues[0].stream.traces) == 10
+        assert len(scenario.ues[0].stream) == 10
         assert scenario.ues[0].stream.layer_count == 2
 
 
@@ -364,6 +365,65 @@ class TestRandomScenario:
             for ue in scenario.ues:
                 labels = {t.true_label for t in ue.stream.traces}
                 assert labels == {"critical", "normal"}
+
+    @pytest.mark.parametrize("event_count_range", [(1, 1), (0, 0), (5, 4)])
+    def test_event_count_range_that_cannot_hold_both_classes_rejected(self, event_count_range):
+        with pytest.raises(ValueError, match="event_count_range"):
+            random_scenario(2, 2, 0, event_count_range=event_count_range)
+
+    @pytest.mark.parametrize(
+        "n_ues, n_ens, seed, kwargs, digest",
+        [
+            (4, 2, 3, dict(security_levels=1),
+             "0ed9a68843bdfa5b76aeaaca2a86babbfecce67ce1cdb081393875d7a6a71832"),
+            (5, 3, 17, dict(security_levels=2),
+             "1619dfa498488929e9f08892eee044aed66789b00bdd1c9b6b3721d938069835"),
+            (6, 3, 29, dict(security_levels=3),
+             "d46530eb4217b92df39867790cf0bcbe20333d87bc9d7572c19b6287a8459740"),
+            (5, 3, 41, dict(security_levels=2, power_pool_probability=0.5),
+             "254c2b1c6d01b1ed7bb9a02a5a37df5dd6569e63862c76d2a2442b5c70aec70c"),
+        ],
+    )
+    def test_streams_are_pinned_bit_for_bit(self, n_ues, n_ens, seed, kwargs, digest):
+        # Any change to how random_scenario draws or reuses its streams shows here.
+        h = hashlib.sha256()
+        for ue in random_scenario(n_ues, n_ens, seed, **kwargs).ues:
+            for column in (ue.stream.event_ids, ue.stream.critical, ue.stream.scores):
+                h.update(column.tobytes())
+        assert h.hexdigest() == digest
+
+
+class TestEachStreamDrawnOnce:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(params, stream) of every generate_stream call made through scenario."""
+        calls = []
+
+        def counting(params, count):
+            calls.append((params, generate_stream(params, count)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(scenario_mod, "generate_stream", counting)
+        return calls
+
+    def test_random_scenario(self, draws):
+        scenario = random_scenario(6, 3, 29, security_levels=3)
+        params = [p for p, _ in draws]
+        assert len(params) == len(set(params)) >= len(scenario.ues)
+        assert all(any(ue.stream is s for _, s in draws) for ue in scenario.ues)
+
+    def test_gen(self, draws, tmp_path, monkeypatch, capsys):
+        saved = []
+
+        def recording(stream, path):
+            saved.append(stream)
+            save_stream(stream, path)
+
+        monkeypatch.setattr(cli, "save_stream", recording)
+        assert cli.main(["gen", "--seed", "7", "--out", str(tmp_path), "--ues", "4"]) == 0
+        params = [p for p, _ in draws]
+        assert len(params) == len(set(params)) >= len(saved) == 4
+        assert all(any(stream is s for _, s in draws) for stream in saved)
 
 
 def make_bundle(seed=0):

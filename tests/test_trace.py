@@ -49,7 +49,8 @@ class TestConfidenceFromLogits:
 
     def test_swapped_logits_sum_to_one(self):
         rng = np.random.default_rng(4)
-        for a, b in rng.normal(scale=20.0, size=(200, 2)):
+        extremes = [(a, b) for a in (1e308, -1e308, 0.0) for b in (1e308, -1e308)]
+        for a, b in [*rng.normal(scale=20.0, size=(200, 2)), *extremes]:
             total = confidence_from_logits(LayerLogits(a, b)) + confidence_from_logits(
                 LayerLogits(b, a)
             )
@@ -88,6 +89,14 @@ class TestGenerateStream:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             generate_stream(make_params(), -1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(critical_drift=float("inf")), dict(critical_prior=0.0, normal_drift=float("nan"))],
+    )
+    def test_non_finite_logits_rejected(self, overrides):
+        with pytest.raises(ValueError, match="logits must be finite"):
+            generate_stream(make_params(**overrides), 20)
 
     def test_generated_stream_is_pinned_bit_for_bit(self):
         # Recorded from the per-event generator.  The scores come from the
