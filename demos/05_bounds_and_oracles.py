@@ -1,20 +1,18 @@
-"""Walkthrough: bounds, the relative gap, and brute-force validation.
+"""Walkthrough: the upper bound, the certified gap, and brute-force validation.
 
 Every optimized path has a deliberately naive counterpart: direct pair
 enumeration validates threshold selection, full plan enumeration validates
 the solver, and randomized perturbations validate that raising a threshold
-never gains true positives.
+never gains true positives.  The returned plan's objective is itself a
+lower bound on the optimum, so the gap to the fully relaxed upper bound
+certifies how far from optimal the plan can be.
 
 Run:  python3 demos/05_bounds_and_oracles.py
 """
 
-import warnings
-
 from fairedge import GeneratorParams, generate_stream, optimal_thresholds, random_scenario
 from fairedge.fairopt import SolveOptions, solve_alternating
 from fairedge import oracle
-
-warnings.simplefilter("ignore", RuntimeWarning)
 
 print("== threshold selection vs direct pair enumeration ==")
 for seed in range(4):
@@ -38,13 +36,13 @@ for seed in range(4):
     print(f"  seed {40 + seed}: solver {report.objective:.6f}  brute {brute_obj:.6f}  "
           f"diff {abs(report.objective - brute_obj):.1e}")
 
-print("\n== bounds and relative gap ==")
+print("\n== upper bound and certified gap ==")
 for seed in range(4):
     scenario = random_scenario(4, 3, 70 + seed)
     _, report = solve_alternating(scenario)
-    gap = "n/a" if report.relative_gap_pct is None else f"{report.relative_gap_pct:+.1f}%"
-    print(f"  seed {70 + seed}: objective {report.objective:8.4f} in "
-          f"[{report.lower_bound:8.4f}, {report.upper_bound:8.4f}]  gap {gap}")
+    gap = "n/a" if report.certified_gap_pct is None else f"{report.certified_gap_pct:.1f}%"
+    print(f"  seed {70 + seed}: objective {report.objective:8.4f} <= "
+          f"upper bound {report.upper_bound:8.4f}  certified gap {gap}")
 
 print("\n== randomized monotonicity check ==")
 params = GeneratorParams(

@@ -36,7 +36,6 @@ from .fairopt import (
     fairness_check,
     lower_bound,
     objective,
-    relative_gap,
     solve_alternating,
     upper_bound,
     weighted_log_objective,

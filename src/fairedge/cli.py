@@ -87,6 +87,10 @@ def _timestamp(deterministic: bool) -> str | None:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _percent(gap: float | None) -> str:
+    return "n/a" if gap is None else f"{gap:.4g}%"
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     path = Path(args.scenario)
     config = parse_document(path.read_text(encoding="utf-8"))
@@ -106,7 +110,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _say(f"bundle written to {args.out}")
     _say(
         f"objective {report.objective:.6f} from one assignment search; "
-        f"gap {report.relative_gap_pct if report.relative_gap_pct is not None else 'n/a'}"
+        f"certified gap {_percent(report.certified_gap_pct)}"
     )
     _emit(bundle_to_dict(bundle))
     return 0
@@ -116,16 +120,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     _, report = fairopt.solve_alternating(scenario, SolveOptions(mode=args.mode))
     _say(
-        f"objective {report.objective:.6f}, bounds [{report.lower_bound:.6f}, "
-        f"{report.upper_bound:.6f}]"
+        f"objective {report.objective:.6f}, upper bound {report.upper_bound:.6f}, "
+        f"certified gap {_percent(report.certified_gap_pct)}"
     )
     _emit(
         {
             "command": "bounds",
             "objective": report.objective,
-            "lower_bound": report.lower_bound,
             "upper_bound": report.upper_bound,
-            "relative_gap_pct": report.relative_gap_pct,
+            "certified_gap_pct": report.certified_gap_pct,
         }
     )
     return 0
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--deterministic", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bounds = sub.add_parser("bounds", help="solve and report lower/upper bounds and gap")
+    p_bounds = sub.add_parser("bounds", help="solve and report the objective, upper bound and certified gap")
     p_bounds.add_argument("scenario")
     p_bounds.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     p_bounds.set_defaults(func=cmd_bounds)

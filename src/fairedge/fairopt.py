@@ -9,12 +9,11 @@ Utility reacts to the compute allocation only through the offload-count
 budget, so the resource subproblem collapses to an integer allocation over
 per-user budget-indexed utility curves, with deadline feasibility handled
 independently by a minimum-bandwidth search at full transmit power.  That
-reduction drives the solver, the grouped bound and the fully relaxed bound
-alike.  The curves never change once built, so the solver needs a single
-assignment search.  One per-solve state, shared by that search and both
-bounds, holds each user's deadline bandwidth, feasible edge nodes, curve and
-weighted log utilities, and computes each compute split once per (capacity,
-user set).
+reduction drives both the solver and the fully relaxed upper bound.  The
+curves never change once built, so the solver needs a single assignment
+search.  One per-solve state, shared by that search and the bound, holds each
+user's deadline bandwidth, feasible edge nodes, curve and weighted log
+utilities, and computes each compute split once per (capacity, user set).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,12 +159,8 @@ class UserDiagnostics:
 class SolveReport:
     objective: float
     per_user_utility: tuple[float, ...]
-    iterations: int
-    feasible: bool
-    lower_bound: float
     upper_bound: float
-    relative_gap_pct: float | None
-    objective_history: tuple[float, ...]
+    certified_gap_pct: float | None
     diagnostics: tuple[UserDiagnostics, ...]
 
 
@@ -383,7 +377,7 @@ def _node_groups(assignment: Sequence[int], m: int) -> list[list[int]]:
 class _SolveState:
     """Per-user facts of one scenario and the memo of its compute splits.
 
-    Built once per solve and read by the assignment search and both bounds.
+    Built once per solve and read by the assignment search and the bound.
     Each user is bisected once for its deadline bandwidth `min_bw` (or the
     failure `causes`), which fixes its security- and bandwidth-feasible
     edge nodes.  The curves (the caller's, or built on first use) and a
@@ -467,59 +461,28 @@ class _SolveState:
                     units[i] = w
         return sum(row[k] for row, k in zip(self._log_values, units)), units
 
-    def pooled(self, users: Sequence[int], nodes: Sequence[ENProfile]) -> float:
-        """Value of `users` sharing the pooled capacities of `nodes`.
-
-        Users are admitted greedily by ascending bandwidth need; users whose
-        link fails or who do not fit the pooled bandwidth/power contribute
-        the floor utility.
-        """
-        power_cap = self.scenario.power_cap_w
-        pools = [en.power_pool_w for en in nodes]
-        remaining_power = None if not nodes or None in pools else float(sum(pools))
-        remaining_bw = float(sum(en.bandwidth_hz for en in nodes))
-        floored = [i for i in users if self.min_bw[i] is None]
-        served: list[int] = []
-        for need, i in sorted((self.min_bw[i], i) for i in users if self.min_bw[i] is not None):
-            if need > remaining_bw or remaining_power is not None and power_cap > remaining_power:
-                floored.append(i)
-                continue
-            served.append(i)
-            remaining_bw -= need
-            if remaining_power is not None:
-                remaining_power -= power_cap
-        served.sort()
-        split = self.split(served, int(sum(en.compute_units for en in nodes)))
-        total = sum(self._log_values[i][w] for i, w in zip(served, split))
-        total += sum(self.weights[i] * math.log(LOG_UTILITY_FLOOR) for i in floored)
-        return total
-
 
 def _greedy_assignment(state: _SolveState) -> list[int]:
     """Start each user on the roomiest feasible node, preferring stricter security."""
-    scenario = state.scenario
+    scenario, power_cap = state.scenario, state.scenario.power_cap_w
     remaining_bw = [en.bandwidth_hz for en in scenario.ens]
-    remaining_slots = [
-        math.inf if en.power_pool_w is None or scenario.power_cap_w == 0
-        else en.power_pool_w // scenario.power_cap_w
-        for en in scenario.ens
-    ]
+    pools = [en.power_pool_w for en in scenario.ens]
+    users = [0] * len(scenario.ens)
     assignment = []
     for i, need in enumerate(state.min_bw):
         ranked = sorted(
             state.feasible[i],
             key=lambda j: (-scenario.ens[j].compute_units, scenario.ens[j].security_level, j),
         )
-        pick = None
-        for j in ranked:
-            if need <= remaining_bw[j] and remaining_slots[j] >= 1:
-                pick = j
-                break
-        if pick is None:
-            pick = ranked[0]  # overloaded start; local moves may repair it
+        # the power test is `_SolveState.overloads`' predicate for one more user
+        fits = (
+            j for j in ranked
+            if need <= remaining_bw[j] and (pools[j] is None or (users[j] + 1) * power_cap <= pools[j])
+        )
+        pick = next(fits, ranked[0])  # no fit: an overloaded start that local moves may repair
         assignment.append(pick)
         remaining_bw[pick] -= need
-        remaining_slots[pick] -= 1
+        users[pick] += 1
     return assignment
 
 
@@ -614,8 +577,9 @@ def solve_alternating(
     only on the streams, never on the assignment or the split, so a second
     round would search the same curves again and return the same
     assignment (the exhaustive optimum, or a local optimum that has no
-    improving move).  The report keeps `iterations` (always 1) and a
-    one-entry `objective_history`.
+    improving move).  The returned plan's objective is itself a lower bound
+    on the optimum; the report adds the fully relaxed upper bound and the
+    certified gap between the two.
     """
     opts = opts or SolveOptions()
     n, m = len(scenario.ues), len(scenario.ens)
@@ -654,9 +618,7 @@ def solve_alternating(
     )
 
     utilities = tuple(curves[i].value(units[i]) for i in range(n))
-    lb = lower_bound(scenario, _state=state)
     ub = upper_bound(scenario, _state=state)
-    gap = relative_gap(final, lb) if lb != 0.0 else None
 
     diagnostics = []
     for i, ue in enumerate(scenario.ues):
@@ -674,59 +636,58 @@ def solve_alternating(
     report = SolveReport(
         objective=final,
         per_user_utility=utilities,
-        iterations=1,
-        feasible=True,
-        lower_bound=lb,
         upper_bound=ub,
-        relative_gap_pct=gap,
-        objective_history=(final,),
+        certified_gap_pct=_certified_gap_pct(final, ub),
         diagnostics=tuple(diagnostics),
     )
     return plan, report
 
 
-def lower_bound(scenario: Scenario, *, _state: _SolveState | None = None) -> float:
-    """Bound from pooling capacities within each exact security level.
+def _certified_gap_pct(objective: float, upper: float) -> float | None:
+    """Shortfall of `objective` below the bound in % of |upper|: 0.0 within
+    1e-12*|upper|, None for a zero bound, negative (never clamped) above it."""
+    if abs(upper - objective) <= 1e-12 * abs(upper):
+        return 0.0
+    if upper == 0.0:
+        return None
+    return (upper - objective) / abs(upper) * 100.0
 
-    A level that has users but no edge node contributes floor utilities and
-    emits a warning.  Grouping both restricts (exact-level matching) and
-    relaxes (pooled capacity), so no ordering against the solver objective is
-    asserted.  A solve passes its `_state`, whose splits the bound reuses.
+
+def lower_bound(scenario: Scenario) -> float:
+    """Objective of the solved plan: any feasible plan's value bounds the optimum."""
+    return solve_alternating(scenario)[1].objective
+
+
+def upper_bound(scenario: Scenario, *, _state: _SolveState | None = None) -> float:
+    """Bound from merging every edge node and dropping security and assignment.
+
+    Users are admitted greedily by ascending bandwidth need into the pooled
+    bandwidth and power pools; users whose link fails or who do not fit
+    contribute the floor utility, and the admitted users split the pooled
+    compute exactly.  A solve passes its `_state`, whose splits the bound reuses.
     """
     if not scenario.ues:
         return 0.0
     state = _state if _state is not None else _SolveState(scenario)
-    total = 0.0
-    for level in sorted({ue.security_level for ue in scenario.ues}):
-        users = [i for i, ue in enumerate(scenario.ues) if ue.security_level == level]
-        nodes = [en for en in scenario.ens if en.security_level == level]
-        if not nodes:
-            warnings.warn(
-                f"security level {level} has users but no edge node; floor utilities used",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            total += sum(
-                scenario.ues[i].weight * math.log(LOG_UTILITY_FLOOR) for i in users
-            )
+    power_cap = scenario.power_cap_w
+    pools = [en.power_pool_w for en in scenario.ens]
+    remaining_power = None if not pools or None in pools else float(sum(pools))
+    remaining_bw = float(sum(en.bandwidth_hz for en in scenario.ens))
+    floored = [i for i, need in enumerate(state.min_bw) if need is None]
+    served: list[int] = []
+    for need, i in sorted((need, i) for i, need in enumerate(state.min_bw) if need is not None):
+        if need > remaining_bw or remaining_power is not None and power_cap > remaining_power:
+            floored.append(i)
             continue
-        total += state.pooled(users, nodes)
+        served.append(i)
+        remaining_bw -= need
+        if remaining_power is not None:
+            remaining_power -= power_cap
+    served.sort()
+    split = state.split(served, state.total_units)
+    total = sum(state._log_values[i][w] for i, w in zip(served, split))
+    total += sum(state.weights[i] * math.log(LOG_UTILITY_FLOOR) for i in floored)
     return total
-
-
-def upper_bound(scenario: Scenario, *, _state: _SolveState | None = None) -> float:
-    """Bound from merging every edge node and dropping security and assignment."""
-    if not scenario.ues:
-        return 0.0
-    state = _state if _state is not None else _SolveState(scenario)
-    return state.pooled(range(len(scenario.ues)), scenario.ens)
-
-
-def relative_gap(u_alg: float, u_lb: float) -> float:
-    """Percentage excess of the solver objective over the grouped bound."""
-    if u_lb == 0.0:
-        raise UndefinedMetricError("relative gap undefined for a zero lower bound")
-    return (u_alg - u_lb) / abs(u_lb) * 100.0
 
 
 def fairness_check(

@@ -31,7 +31,7 @@ from .fairopt import AllocationPlan, ENProfile, Scenario, SolveReport, UEProfile
 from .link import ChannelState, EnergyModel, LinkAllocation, OffloadDemand, secrecy_rate
 from .trace import EventStream, GeneratorParams, generate_stream, load_stream
 
-BUNDLE_SCHEMA_VERSION = 1
+BUNDLE_SCHEMA_VERSION = 2
 
 
 class ScenarioParseError(ValueError):
@@ -581,6 +581,7 @@ def bundle_from_dict(payload: dict) -> ResultBundle:
     if version != BUNDLE_SCHEMA_VERSION:
         raise BundleSchemaError(
             f"unsupported bundle schema version {version!r}, expected {BUNDLE_SCHEMA_VERSION}"
+            + ("; the bundle predates v2, so re-run `solve` to rebuild it" if version == 1 else "")
         )
     errors = sorted(_BUNDLE_VALIDATOR.iter_errors(payload), key=str)
     if errors:

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from fairedge.cli import main
-from fairedge.scenario import read_bundle
+from fairedge.fairopt import check_feasibility
+from fairedge.scenario import bundle_from_dict, load_scenario, read_bundle
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,7 +64,8 @@ class TestPipelineReproducibility:
         workdir.mkdir()
         pipeline(workdir)
         bundle = read_bundle(workdir / "out" / "bundle.json")
-        assert bundle.report.feasible
+        scenario = load_scenario(workdir / "out" / "scenario.json")
+        assert check_feasibility(bundle.plan, scenario) == []
         assert bundle.created_at is None  # deterministic mode drops timestamps
 
 
@@ -72,8 +75,10 @@ class TestCommands:
         capsys.readouterr()
         assert main(["solve", str(tmp_path / "scenario.json"), "--deterministic"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
-        assert payload["report"]["feasible"] is True
+        assert payload["schema_version"] == 2
+        bundle = bundle_from_dict(payload)
+        scenario = load_scenario(tmp_path / "scenario.json")
+        assert check_feasibility(bundle.plan, scenario) == []
 
     def test_solve_without_deterministic_stamps_time(self, tmp_path, capsys):
         assert main(["gen", "--seed", "3", "--out", str(tmp_path), "--ues", "1",
@@ -138,9 +143,21 @@ class TestCommands:
         capsys.readouterr()
         assert main(["bounds", str(tmp_path / "scenario.json")]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"command", "objective", "lower_bound", "upper_bound",
-                                "relative_gap_pct"}
+        assert set(payload) == {"command", "objective", "upper_bound", "certified_gap_pct"}
         assert payload["objective"] <= payload["upper_bound"] + 1e-9
+        assert payload["certified_gap_pct"] >= 0.0
+
+    def test_bounds_certifies_the_gap_without_warnings(self, tmp_path, capsys):
+        # seed 42 has a level-2 user and no level-2 node
+        assert main(["gen", "--seed", "42", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", str(tmp_path / "scenario.json")]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["certified_gap_pct"] == pytest.approx(1.2094, abs=1e-4)
+        assert "certified gap 1.209%" in captured.err
 
     def test_verify_monotonicity_suite_passes(self, capsys):
         assert main(["verify", "--suite", "monotonicity", "--seed", "7"]) == 0

@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairedge import fairopt, oracle
 from fairedge.exitpolicy import (
     ThresholdPair,
-    UndefinedMetricError,
     UtilityCurve,
     evaluate,
     optimal_thresholds,
@@ -30,10 +31,11 @@ from fairedge.fairopt import (
     fairness_check,
     lower_bound,
     objective,
-    relative_gap,
     solve_alternating,
     upper_bound,
     weighted_log_objective,
+    _certified_gap_pct,
+    _greedy_assignment,
     _node_groups,
     _SolveState,
 )
@@ -133,9 +135,8 @@ def fresh_assignment_value(assignment, scenario, curves, min_bw):
 class TestCheckFeasibility:
     def test_valid_single_pair_plan_is_feasible(self):
         scenario = make_scenario([make_ue()], [make_en()])
-        plan, report = solve_alternating(scenario)
+        plan, _ = solve_alternating(scenario)
         assert check_feasibility(plan, scenario) == []
-        assert report.feasible
 
     def test_unassigned_user_is_flagged(self):
         scenario = make_scenario([make_ue()], [make_en()])
@@ -329,6 +330,15 @@ class TestAssignmentSearch:
                 o2, v2, _ = state_value(state, alt)
                 assert o2 > 0 or v2 <= value + 1e-12
 
+    def test_greedy_start_fills_a_power_pool_as_far_as_overloads_allows(self):
+        # 0.5 // 0.1 == 4.0, yet five 0.1-W users fit a 0.5-W pool (5 * 0.1 > 0.5 is False)
+        ues = [make_ue() for _ in range(7)]
+        scenario = make_scenario(ues, [make_en(units=8, pool=0.5), make_en(units=4)], levels=1)
+        state = _SolveState(scenario)
+        start = _greedy_assignment(state)
+        assert start == [0] * 5 + [1] * 2
+        assert state.overloads(_node_groups(start, 2)) == 0
+
     def test_blocked_user_raises_with_its_index(self):
         scenario = make_scenario([make_ue(), make_ue(channel=blocked_channel())], [make_en()])
         curves = [utility_curve(ue.stream, 4) for ue in scenario.ues]
@@ -401,24 +411,21 @@ class TestSolveAlternating:
     def test_returned_plans_always_pass_the_checker(self):
         for seed in range(6):
             scenario = random_scenario(3, 2, 200 + seed)
-            plan, report = solve_alternating(scenario)
+            plan, _ = solve_alternating(scenario)
             assert check_feasibility(plan, scenario) == []
-            assert report.feasible
 
-    def test_one_pass_reports_a_single_iteration(self):
-        scenario = random_scenario(3, 2, 310)
-        for mode in ("exhaustive", "local"):
-            _, report = solve_alternating(scenario, SolveOptions(mode=mode))
-            assert report.iterations == 1
-            assert report.objective_history == (report.objective,)
-
-    def test_history_is_non_decreasing(self):
+    def test_one_pass_is_a_fixed_point_of_both_blocks(self):
         for seed in range(6):
-            scenario = random_scenario(3, 2, 300 + seed)
+            scenario = random_scenario(4, 2, 300 + seed, power_pool_probability=0.5)
             for mode in ("exhaustive", "local"):
-                _, report = solve_alternating(scenario, SolveOptions(mode=mode))
-                diffs = np.diff(report.objective_history)
-                assert np.all(diffs >= 0)
+                plan, report = solve_alternating(scenario, SolveOptions(mode=mode))
+                units = plan.compute_units.sum(axis=1)
+                for i, ue in enumerate(scenario.ues):
+                    _, utility = optimal_thresholds(ue.stream, int(units[i]))
+                    assert utility == report.per_user_utility[i]
+                curves, _ = solver_inputs(scenario)
+                again = assignment_search(scenario, curves, mode)
+                assert np.array_equal(again, plan.assignment)
 
     def test_objective_never_exceeds_upper_bound(self):
         for seed in range(8):
@@ -466,7 +473,7 @@ class TestSolveLayers:
             return real_dp(rows, capacity)
 
         monkeypatch.setattr(fairopt, "_split_rows", counting_dp)
-        layers = ("assignment_search", "lower_bound", "upper_bound")
+        layers = ("assignment_search", "upper_bound")
         for name in layers:
             def counting(*args, _name=name, _real=getattr(fairopt, name), **kwargs):
                 calls[_name] += 1
@@ -475,9 +482,7 @@ class TestSolveLayers:
             monkeypatch.setattr(fairopt, name, counting)
 
         scenario = random_scenario(6, 3, 11, security_levels=levels)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            fairopt.solve_alternating(scenario, SolveOptions(mode=mode))
+        fairopt.solve_alternating(scenario, SolveOptions(mode=mode))
         assert dp_inputs
         assert len(set(dp_inputs)) == len(dp_inputs)
         assert calls == {name: 1 for name in layers}
@@ -491,61 +496,52 @@ class TestBounds:
         scenario = make_scenario([make_ue(stream=stream)], [make_en(units=3)], levels=1)
         assert lower_bound(scenario) == pytest.approx(upper_bound(scenario), abs=1e-12)
 
-    def test_empty_scenario_bounds_are_zero(self):
+    def test_empty_scenario_has_a_zero_upper_bound_and_no_plan(self):
         empty = Scenario(ues=(), ens=(), bandwidth_cap_hz=1e6, power_cap_w=0.1, security_levels=1)
-        assert lower_bound(empty) == 0.0
         assert upper_bound(empty) == 0.0
+        with pytest.raises(ValueError, match="at least one UE"):
+            lower_bound(empty)
 
     @pytest.mark.parametrize("cap", ["bandwidth_cap_hz", "power_cap_w"])
-    def test_zero_cap_floors_every_user_in_both_bounds(self, cap):
+    def test_zero_cap_floors_every_user_in_the_upper_bound(self, cap):
         scenario = dataclasses.replace(random_scenario(2, 2, 42), **{cap: 0.0})
         floor = sum(ue.weight * math.log(LOG_UTILITY_FLOOR) for ue in scenario.ues)
-        assert lower_bound(scenario) == pytest.approx(floor, rel=1e-12)
         assert upper_bound(scenario) == pytest.approx(floor, rel=1e-12)
+        with pytest.raises(InfeasibleScenarioError):
+            lower_bound(scenario)
 
-    def test_group_without_nodes_is_floored_and_flagged(self):
+    def test_level_without_an_exact_node_is_served_by_a_stricter_node(self):
+        # no node has level 2, yet its user may use the level-1 node: nothing is floored
         scenario = make_scenario(
             [make_ue(level=1), make_ue(level=2)], [make_en(level=1)], levels=2
         )
-        with pytest.warns(RuntimeWarning, match="no edge node"):
-            value = lower_bound(scenario)
-        assert value <= math.log(LOG_UTILITY_FLOOR) / 2  # one floored user dominates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan, report = solve_alternating(scenario)
+            assert lower_bound(scenario) == report.objective
+            assert upper_bound(scenario) == report.upper_bound
+        assert check_feasibility(plan, scenario) == []
+        assert min(report.per_user_utility) > LOG_UTILITY_FLOOR
+        assert report.objective == pytest.approx(oracle.brute_force_plan(scenario)[1], abs=1e-9)
+        assert report.certified_gap_pct is not None and report.certified_gap_pct >= 0.0
 
-    def test_two_level_bound_is_sum_of_group_solves(self):
-        streams = [
-            make_stream([(CRITICAL, (0.9, 0.95)), (CRITICAL, (0.5, 0.6)), (NORMAL, (0.1, 0.1))]),
-            make_stream([(CRITICAL, (0.8, 0.9)), (NORMAL, (0.3, 0.2)), (NORMAL, (0.6, 0.5))]),
-        ]
-        ues = [make_ue(stream=streams[0], level=1), make_ue(stream=streams[1], level=2)]
-        ens = [make_en(level=1, units=2), make_en(level=2, units=2)]
-        scenario = make_scenario(ues, ens, levels=2)
-        total = lower_bound(scenario)
-
-        parts = 0.0
-        for level in (1, 2):
-            sub = make_scenario(
-                [u for u in ues if u.security_level == level],
-                [
-                    make_en(
-                        bandwidth=sum(e.bandwidth_hz for e in ens if e.security_level == level),
-                        units=sum(e.compute_units for e in ens if e.security_level == level),
-                        level=level,
-                    )
-                ],
-                levels=2,
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_bounds_sandwich_the_exact_optimum(self, levels):
+        for seed in range(6):
+            scenario = random_scenario(
+                3, 2, 700 + seed, security_levels=levels, compute_range=(2, 6),
+                event_count_range=(15, 25), power_pool_probability=0.5,
             )
-            _, group_obj = oracle.brute_force_plan(sub)
-            parts += group_obj
-        assert total == pytest.approx(parts, abs=1e-9)
+            _, exact = oracle.brute_force_plan(scenario)
+            assert lower_bound(scenario) <= exact + 1e-9
+            assert exact <= upper_bound(scenario) + 1e-9
 
     def test_solver_bandwidths_give_the_same_bounds(self):
         for levels in (1, 2, 3):
             for seed in range(4):
                 scenario = random_scenario(4, 2, 650 + seed, security_levels=levels)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    _, report = solve_alternating(scenario)
-                    assert report.lower_bound == lower_bound(scenario)
+                _, report = solve_alternating(scenario)
+                assert report.objective == lower_bound(scenario)
                 assert report.upper_bound == upper_bound(scenario)
 
     def test_upper_bound_dominates_sampled_feasible_plans(self):
@@ -556,19 +552,43 @@ class TestBounds:
             assert report.objective <= ub + 1e-9
 
 
-class TestRelativeGap:
-    def test_equal_values_give_zero(self):
-        assert relative_gap(-3.5, -3.5) == 0.0
+class TestCertifiedGap:
+    @pytest.mark.parametrize(
+        "objective, upper, gap",
+        [
+            (-3.5, -3.5, 0.0),
+            (0.0, 0.0, 0.0),
+            (-2.0 * (1 + 1e-13), -2.0, 0.0),  # within the 1e-12 margin
+            (-2.0, -1.0, 100.0),
+            (-1.5, -2.0, -25.0),  # a violation stays negative
+            (-1.0, 0.0, None),
+        ],
+    )
+    def test_gap_values(self, objective, upper, gap):
+        assert _certified_gap_pct(objective, upper) == gap
 
-    def test_negative_lower_bound_sign_handling(self):
-        assert relative_gap(-1.0, -2.0) == pytest.approx(50.0)
-
-    def test_positive_values(self):
-        assert relative_gap(1.1, 1.0) == pytest.approx(10.0, abs=1e-9)
-
-    def test_zero_lower_bound_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            relative_gap(1.0, 0.0)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 3),
+        levels=st.integers(1, 3),
+        pools=st.sampled_from([0.0, 0.5, 1.0]),
+        mode=st.sampled_from(["exhaustive", "local"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_objective_never_exceeds_the_upper_bound(self, n, m, levels, pools, mode, seed):
+        scenario = random_scenario(
+            n, m, seed, security_levels=levels, power_pool_probability=pools,
+            event_count_range=(20, 40),
+        )
+        try:
+            _, report = solve_alternating(scenario, SolveOptions(mode=mode))
+        except InfeasibleScenarioError:
+            assume(False)
+        ub = report.upper_bound
+        assert report.objective <= ub + 1e-12 * abs(ub)
+        assert report.certified_gap_pct is None or report.certified_gap_pct >= 0.0
+        assert report.certified_gap_pct == _certified_gap_pct(report.objective, ub)
 
 
 class TestFairnessCheck:

@@ -481,10 +481,12 @@ class TestBundles:
         path = tmp_path / "bundle.json"
         write_bundle(bundle, path)
         payload = json.loads(path.read_text())
-        payload["schema_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(BundleSchemaError, match="version"):
-            read_bundle(path)
+        for version in (1, 99):
+            payload["schema_version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(BundleSchemaError, match="version") as err:
+                read_bundle(path)
+            assert ("predates v2, so re-run `solve`" in str(err.value)) == (version == 1)
 
     def test_schema_violation_rejected(self, tmp_path):
         bundle = make_bundle(2)
@@ -528,12 +530,12 @@ _WRONG_LEAVES = (
     + [(("plan", name), "wrong") for name in _PLAN_MATRICES]
     + [(("plan", name), [["wrong"]]) for name in _PLAN_MATRICES]
     + [
-        (("report", "iterations"), 1.5),
-        (("report", "iterations"), 1.0),
+        (("report", "certified_gap_pct"), float("nan")),
+        (("report", "certified_gap_pct"), True),
         (("report", "objective"), float("nan")),
         (("report", "objective"), float("inf")),
         (("report", "objective"), float("-inf")),
-        (("report", "feasible"), 1),
+        (("report", "certified_gap_pct"), _DELETE),
         (("report", "objective"), True),
         (("report", "per_user_utility"), ["wrong"]),
         (("report", "diagnostics", 0, "user"), 0.5),

@@ -7,7 +7,6 @@ must not change when the reference replaces it.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -98,9 +97,7 @@ def test_kernel_and_wrapper_match_reference(case):
 
 
 def solve_outcome(scenario, mode):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        plan, report = solve_alternating(scenario, SolveOptions(mode=mode))
+    plan, report = solve_alternating(scenario, SolveOptions(mode=mode))
     return (
         plan.assignment.tolist(),
         plan.compute_units.tolist(),
@@ -108,8 +105,8 @@ def solve_outcome(scenario, mode):
         plan.power_w.tolist(),
         plan.thresholds,
         report.objective,
-        report.lower_bound,
         report.upper_bound,
+        report.certified_gap_pct,
     )
 
 
