@@ -4,7 +4,7 @@ Every optimized path has a deliberately naive counterpart: direct pair
 enumeration validates threshold selection, full plan enumeration validates
 the solver, and randomized perturbations validate that raising a threshold
 never gains true positives.  The returned plan's objective is itself a
-lower bound on the optimum, so the gap to the fully relaxed upper bound
+lower bound on the optimum, so the gap to the pooled upper bound
 certifies how far from optimal the plan can be.
 
 Run:  python3 demos/05_bounds_and_oracles.py

@@ -9,11 +9,13 @@ Utility reacts to the compute allocation only through the offload-count
 budget, so the resource subproblem collapses to an integer allocation over
 per-user budget-indexed utility curves, with deadline feasibility handled
 independently by a minimum-bandwidth search at full transmit power.  That
-reduction drives both the solver and the fully relaxed upper bound.  The
-curves never change once built, so the solver needs a single assignment
-search.  One per-solve state, shared by that search and the bound, holds each
-user's deadline bandwidth, feasible edge nodes, curve and weighted log
-utilities, and computes each compute split once per (capacity, user set).
+reduction drives both the solver and the upper bound, which splits every
+edge node's units, pooled, among all users.  The curves never change once
+built, so the solver needs a single assignment search.  One per-solve state,
+shared by that search and the bound, holds each user's deadline bandwidth,
+feasible edge nodes, curve and weighted log utilities, computes each compute
+split once per (capacity, user set), and is the one gate that rejects an
+empty or blocked scenario.
 """
 
 from __future__ import annotations
@@ -327,6 +329,11 @@ def _split_rows(rows: Sequence[Sequence[float]], capacity: int) -> list[int]:
     return allocation
 
 
+def _log_row(weight: float, curve: UtilityCurve, capacity: int) -> list[float]:
+    """`weight*log(max(u(k), floor))` for k = 0..capacity."""
+    return [weight * math.log(max(curve.value(k), LOG_UTILITY_FLOOR)) for k in range(capacity + 1)]
+
+
 def allocate_compute_dp(
     weights: Sequence[float], curves: Sequence[UtilityCurve], capacity: int
 ) -> list[int]:
@@ -340,11 +347,7 @@ def allocate_compute_dp(
         raise ValueError("capacity must be >= 0")
     if len(weights) != len(curves):
         raise ValueError("weights and curves must align")
-    rows = [
-        [w * math.log(max(curve.value(k), LOG_UTILITY_FLOOR)) for k in range(capacity + 1)]
-        for w, curve in zip(weights, curves)
-    ]
-    return _split_rows(rows, capacity)
+    return _split_rows([_log_row(w, curve, capacity) for w, curve in zip(weights, curves)], capacity)
 
 
 def _min_bandwidth(scenario: Scenario, ue: UEProfile) -> tuple[float | None, str | None]:
@@ -384,8 +387,8 @@ class _SolveState:
     per-user table of `w*log(max(u(k), floor))` for k = 0..total units are
     fixed for the solve, so a split depends only on the capacity and the
     users sharing it: splits are keyed by (capacity, users) and each is
-    computed once by `_split_rows` on the users' table rows, the same rows
-    `allocate_compute_dp` would build.  Objectives are summed from the
+    computed once by `_split_rows` on the users' table rows, built by the
+    same `_log_row` as `allocate_compute_dp`.  Objectives are summed from the
     table in user order, the same floats as `weighted_log_objective`.
     """
 
@@ -421,14 +424,19 @@ class _SolveState:
 
     @functools.cached_property
     def _log_values(self) -> list[list[float]]:
-        return [
-            [w * math.log(max(curve.value(k), LOG_UTILITY_FLOOR)) for k in range(self.total_units + 1)]
-            for w, curve in zip(self.weights, self.curves)
-        ]
+        return [_log_row(w, curve, self.total_units) for w, curve in zip(self.weights, self.curves)]
 
-    def blocked(self) -> list[int]:
-        """Users with no feasible edge node."""
-        return [i for i, options in enumerate(self.feasible) if not options]
+    def require_solvable(self) -> None:
+        """Raise unless there are users and edge nodes and each user has a feasible node."""
+        if not self.scenario.ues or not self.scenario.ens:
+            raise ValueError("scenario must have at least one UE and one EN")
+        blocked = [i for i, options in enumerate(self.feasible) if not options]
+        if blocked:
+            detail = "; ".join(
+                f"user {i}: {self.causes[i] or 'no edge node clears security and bandwidth'}"
+                for i in blocked
+            )
+            raise InfeasibleScenarioError(f"infeasible scenario: {detail}", blocking_users=blocked)
 
     def split(self, users: Sequence[int], capacity: int) -> list[int]:
         """Exact compute split of `capacity` among `users` (ascending)."""
@@ -495,43 +503,33 @@ def assignment_search(
 ) -> np.ndarray:
     """Pick one edge node per user maximizing the weighted log-utility sum.
 
-    Exhaustive mode enumerates every security-feasible combination (guarded
-    to 2^20; beyond that it silently falls back to local mode), skips those
-    that overload an edge node's bandwidth or power pool before splitting any
-    compute, and keeps the first best.  Local mode starts from the greedy
-    assignment and applies single-user reassignment moves until none
-    improves.  Per-node compute splits are memoised for the call, or for the
-    whole solve when the solver passes its `_state`.
+    Raises `ValueError` without users or edge nodes, and
+    `InfeasibleScenarioError` naming each user with no feasible node and its
+    cause.  Exhaustive mode enumerates every security-feasible combination
+    (guarded to 2^20; beyond that it silently falls back to local mode),
+    skips those that overload an edge node's bandwidth or power pool before
+    splitting any compute, and keeps the first best.  Local mode starts from
+    the greedy assignment and applies single-user reassignment moves until
+    none improves.  Per-node compute splits are memoised for the call, or
+    for the whole solve when the solver passes its `_state`.
     """
     if mode not in ("exhaustive", "local"):
         raise ValueError("mode must be 'exhaustive' or 'local'")
     n, m = len(scenario.ues), len(scenario.ens)
-    if n == 0 or m == 0:
-        raise ValueError("scenario must have at least one UE and one EN")
     state = _state if _state is not None else _SolveState(scenario, utility_curves)
-    blocked = state.blocked()
-    if blocked:
-        raise InfeasibleScenarioError(
-            "some users have no security- and deadline-feasible edge node",
-            blocking_users=blocked,
-        )
+    state.require_solvable()
 
     if mode == "exhaustive" and n * math.log2(m) <= _EXHAUSTIVE_GUARD_BITS:
-        best_value: float | None = None
-        best_assignment: tuple[int, ...] | None = None
-        for combo in itertools.product(*state.feasible):
+        def combo_value(combo: Sequence[int]) -> float:
             groups = _node_groups(combo, m)
-            if state.overloads(groups):
-                continue
-            value, _ = state.value(groups)
-            if best_value is None or value > best_value:
-                best_value = value
-                best_assignment = combo
-        if best_assignment is None:
+            return -math.inf if state.overloads(groups) else state.value(groups)[0]
+
+        # max keeps the first of equal maxima, so ties go to the earliest combination
+        chosen = list(max(itertools.product(*state.feasible), key=combo_value))
+        if state.overloads(_node_groups(chosen, m)):
             raise InfeasibleScenarioError(
                 "no assignment satisfies edge-node bandwidth and power capacities"
             )
-        chosen = list(best_assignment)
     else:
         def score(assignment: Sequence[int]) -> tuple[int, float]:
             groups = _node_groups(assignment, m)
@@ -539,7 +537,9 @@ def assignment_search(
 
         chosen = _greedy_assignment(state)
         best = score(chosen)
-        for _ in range(10_000):
+        # each sweep strictly raises (-overloads, value), so no assignment
+        # repeats, and there are finitely many: the loop ends
+        while True:
             best_move = None
             for i in range(n):
                 for j in state.feasible[i]:
@@ -578,23 +578,13 @@ def solve_alternating(
     round would search the same curves again and return the same
     assignment (the exhaustive optimum, or a local optimum that has no
     improving move).  The returned plan's objective is itself a lower bound
-    on the optimum; the report adds the fully relaxed upper bound and the
+    on the optimum; the report adds the pooled upper bound and the
     certified gap between the two.
     """
     opts = opts or SolveOptions()
     n, m = len(scenario.ues), len(scenario.ens)
-    if n == 0 or m == 0:
-        raise ValueError("scenario must have at least one UE and one EN")
-
     state = _SolveState(scenario)
-    blocked = state.blocked()
-    if blocked:
-        detail = "; ".join(
-            f"user {i}: {state.causes[i] or 'no edge node clears security and bandwidth'}"
-            for i in blocked
-        )
-        raise InfeasibleScenarioError(f"infeasible scenario: {detail}", blocking_users=blocked)
-
+    state.require_solvable()
     curves = state.curves
     x = assignment_search(scenario, curves, opts.mode, _state=state)
     assignment = [int(np.argmax(x[i])) for i in range(n)]
@@ -659,31 +649,19 @@ def lower_bound(scenario: Scenario) -> float:
 
 
 def upper_bound(scenario: Scenario, *, _state: _SolveState | None = None) -> float:
-    """Bound from merging every edge node and dropping security and assignment.
+    """Bound from pooling every edge node's compute units among all users.
 
-    Users are admitted greedily by ascending bandwidth need into the pooled
-    bandwidth and power pools; users whose link fails or who do not fit
-    contribute the floor utility, and the admitted users split the pooled
-    compute exactly.  A solve passes its `_state`, whose splits the bound reuses.
+    Every user whose link meets its deadline within the caps shares the
+    pooled units, split exactly; a user whose link fails contributes the
+    floor utility.  The bound drops the assignment, security clearances and
+    the edge nodes' bandwidth and power pools, so it holds for every
+    feasible plan.  A solve passes its `_state`, whose splits the bound reuses.
     """
     if not scenario.ues:
         return 0.0
     state = _state if _state is not None else _SolveState(scenario)
-    power_cap = scenario.power_cap_w
-    pools = [en.power_pool_w for en in scenario.ens]
-    remaining_power = None if not pools or None in pools else float(sum(pools))
-    remaining_bw = float(sum(en.bandwidth_hz for en in scenario.ens))
+    served = [i for i, need in enumerate(state.min_bw) if need is not None]
     floored = [i for i, need in enumerate(state.min_bw) if need is None]
-    served: list[int] = []
-    for need, i in sorted((need, i) for i, need in enumerate(state.min_bw) if need is not None):
-        if need > remaining_bw or remaining_power is not None and power_cap > remaining_power:
-            floored.append(i)
-            continue
-        served.append(i)
-        remaining_bw -= need
-        if remaining_power is not None:
-            remaining_power -= power_cap
-    served.sort()
     split = state.split(served, state.total_units)
     total = sum(state._log_values[i][w] for i, w in zip(served, split))
     total += sum(state.weights[i] * math.log(LOG_UTILITY_FLOOR) for i in floored)

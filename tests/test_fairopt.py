@@ -342,9 +342,33 @@ class TestAssignmentSearch:
     def test_blocked_user_raises_with_its_index(self):
         scenario = make_scenario([make_ue(), make_ue(channel=blocked_channel())], [make_en()])
         curves = [utility_curve(ue.stream, 4) for ue in scenario.ues]
-        with pytest.raises(InfeasibleScenarioError) as err:
+        with pytest.raises(InfeasibleScenarioError, match="user 1: insecure link") as err:
             assignment_search(scenario, curves)
         assert err.value.blocking_users == [1]
+
+    def test_users_without_nodes_are_a_value_error(self):
+        # even though every user is then blocked, the empty node set is reported
+        scenario = make_scenario([make_ue(), make_ue()], [])
+        curves = [utility_curve(ue.stream, 4) for ue in scenario.ues]
+        with pytest.raises(ValueError, match="at least one UE and one EN"):
+            assignment_search(scenario, curves)
+        with pytest.raises(ValueError, match="at least one UE and one EN"):
+            solve_alternating(scenario)
+
+    def test_exhaustive_ties_keep_the_first_combination(self):
+        # (0, 1) and (1, 0) give both users one unit and the same objective
+        scenario = make_scenario([make_ue(), make_ue()], [make_en(units=1), make_en(units=1)])
+        curves, _ = solver_inputs(scenario)
+        x = assignment_search(scenario, curves, "exhaustive")
+        assert [int(np.argmax(row)) for row in x] == [0, 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exhaustive_past_the_guard_runs_local_search(self, seed):
+        # 21 users on 2 nodes is 2^21 combinations, past the 2^20 guard
+        scenario = random_scenario(21, 2, seed)
+        curves, _ = solver_inputs(scenario)
+        exhaustive = assignment_search(scenario, curves, "exhaustive")
+        assert np.array_equal(exhaustive, assignment_search(scenario, curves, "local"))
 
     def test_memoised_value_matches_fresh_recomputation(self):
         rng = np.random.default_rng(31)
@@ -544,6 +568,19 @@ class TestBounds:
                 assert report.objective == lower_bound(scenario)
                 assert report.upper_bound == upper_bound(scenario)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "local"])
+    def test_bound_is_not_below_a_plan_that_rounding_makes_tight(self, mode):
+        # the pools hold 1.4 W for fourteen 0.1-W users, yet 1.4 - 13 * 0.1 < 0.1 in
+        # floats: charging users one by one to a pooled power budget would drop one
+        scenario = make_scenario(
+            [make_ue() for _ in range(14)], [make_en(units=4, pool=0.4), make_en(units=10, pool=1.0)]
+        )
+        plan, report = solve_alternating(scenario, SolveOptions(mode=mode))
+        assert check_feasibility(plan, scenario) == []
+        assert report.upper_bound == 0.0
+        assert report.certified_gap_pct == 0.0
+        assert oracle.SUITES["sandwich"](0, scenario)[0] is True
+
     def test_upper_bound_dominates_sampled_feasible_plans(self):
         for seed in range(10):
             scenario = random_scenario(2, 2, 600 + seed)
@@ -589,6 +626,11 @@ class TestCertifiedGap:
         assert report.objective <= ub + 1e-12 * abs(ub)
         assert report.certified_gap_pct is None or report.certified_gap_pct >= 0.0
         assert report.certified_gap_pct == _certified_gap_pct(report.objective, ub)
+        # the bound is every user's share of the pooled units, summed in user order
+        curves, _ = solver_inputs(scenario)
+        weights = [ue.weight for ue in scenario.ues]
+        split = allocate_compute_dp(weights, curves, sum(en.compute_units for en in scenario.ens))
+        assert ub == weighted_log_objective(weights, [c.value(k) for c, k in zip(curves, split)])
 
 
 class TestFairnessCheck:
