@@ -14,6 +14,7 @@ gradient ascent are provided for smooth, approximate search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -153,52 +154,75 @@ def _candidate_thresholds(matrix: np.ndarray) -> np.ndarray:
     """Distinct observed scores plus sentinels just outside their range.
 
     Sentinels are pulled back toward the range midpoints when the fixed
-    offset would leave the open interval (0, 1).
+    offset would leave the open interval (0, 1).  A score on the smallest
+    positive double or the largest double below 1 leaves no room outside
+    it, so the sentinel repeats that score: no valid threshold lies beyond.
     """
     scores = np.unique(matrix)
-    lo = max(scores[0] - _SENTINEL_DELTA, scores[0] / 2.0)
-    hi = min(scores[-1] + _SENTINEL_DELTA, (scores[-1] + 1.0) / 2.0)
+    lo = max(scores[0] - _SENTINEL_DELTA, scores[0] / 2.0, math.nextafter(0.0, 1.0))
+    hi = min(scores[-1] + _SENTINEL_DELTA, (scores[-1] + 1.0) / 2.0, math.nextafter(1.0, 0.0))
     return np.concatenate(([lo], scores, [hi]))
 
 
-def _build_pair_table(stream: EventStream) -> tuple[np.ndarray, np.ndarray, int]:
+def _build_pair_table(stream: EventStream, max_budget: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Candidate thresholds, the best packed key for every offload budget
-    0..n, and the critical-event count.
+    0..min(max_budget, n), and the critical-event count.
 
     For each candidate lower threshold, an event's fate is determined by the
     largest score it produces before its first at-or-below-lower crossing:
     the event exits critical under upper threshold u exactly when that
-    running maximum is >= u.  Sorting the maxima lets one binary search count
-    true positives and offloads for every candidate upper at once.
+    pre-crossing maximum is >= u.  The first crossing is the first layer
+    whose prefix minimum is <= lower, and the maximum before it is the
+    prefix maximum one layer earlier (-inf when it is layer 1), so both
+    prefix extrema are computed once.  An event's crossing moves only when
+    the lower reaches one of its prefix minima; the layers where the prefix
+    minimum falls are bucketed by the candidate rank of that minimum, and
+    raising the lower to `cand[i]` updates only bucket i's events (at most
+    nL updates in all).
 
-    Keys pack (tp, lower index, upper index) so a single integer argmax
-    realizes both the utility objective and the tie-break preferring larger
-    thresholds (fewer offloads) at equal utility.
+    Per lower, sorting the maxima lets one binary search count true
+    positives and offloads for many uppers at once.  Only uppers above the
+    (max_budget+1)-th largest maximum offload at most max_budget events, so
+    only those are searched.  Keys pack (tp, lower index, upper index) so a
+    single integer argmax realizes both the utility objective and the
+    tie-break preferring larger thresholds (fewer offloads) at equal utility.
     """
     matrix, crit = stream.scores, stream.critical
     n, layers = matrix.shape
     positives = int(crit.sum())
     if positives == 0:
         raise UndefinedMetricError("utility undefined: stream has no critical events")
+    budget = min(max_budget, n)
 
     cand = _candidate_thresholds(matrix)
     k = len(cand)
-    cols = np.arange(layers)
-    best_key = np.full(n + 1, -1, dtype=np.int64)
+    prefix_min = np.minimum.accumulate(matrix, axis=1)
+    prefix_max = np.maximum.accumulate(matrix, axis=1)
+    before = np.hstack((np.full((n, 1), -np.inf), prefix_max[:, :-1]))
+    falls = np.ones((n, layers), dtype=bool)
+    falls[:, 1:] = prefix_min[:, 1:] < prefix_min[:, :-1]
+    # Prefix minima are observed scores, so each one's rank in cand is exact;
+    # an event's falling minima are distinct, so it appears once per bucket.
+    events, at = np.nonzero(falls)
+    rank = np.searchsorted(cand, prefix_min[events, at])
+    order = np.argsort(rank, kind="stable")
+    events, maxima = events[order], before[events, at][order]
+    edges = np.searchsorted(rank[order], np.arange(k + 1)).tolist()
 
+    pre_max = prefix_max[:, -1].copy()  # no crossing below the lowest score
+    best_key = np.full(budget + 1, -1, dtype=np.int64)
     for i in range(k):
-        lower = cand[i]
-        below = matrix <= lower
-        first_below = np.where(below.any(axis=1), below.argmax(axis=1), layers)
-        # Largest score seen strictly before the lower crossing (-inf if none).
-        pre_max = np.where(cols[None, :] < first_below[:, None], matrix, -np.inf).max(axis=1)
+        bucket = slice(edges[i], edges[i + 1])
+        pre_max[events[bucket]] = maxima[bucket]
         all_sorted = np.sort(pre_max)
+        first = i
+        if budget < n:
+            first = max(i, int(np.searchsorted(cand, all_sorted[n - budget - 1], side="right")))
+        uppers = cand[first:]
         crit_sorted = np.sort(pre_max[crit])
-
-        uppers = cand[i:]
         tp = positives - np.searchsorted(crit_sorted, uppers, side="left")
         offloads = n - np.searchsorted(all_sorted, uppers, side="left")
-        keys = (tp.astype(np.int64) * k + i) * k + np.arange(i, k, dtype=np.int64)
+        keys = (tp.astype(np.int64) * k + i) * k + np.arange(first, k, dtype=np.int64)
         np.maximum.at(best_key, offloads, keys)
 
     return cand, np.maximum.accumulate(best_key), positives
@@ -217,8 +241,9 @@ def optimal_thresholds(stream: EventStream, offload_budget: int) -> tuple[Thresh
 class UtilityCurve:
     """Best utility and pair per offload budget 0..max_budget (non-decreasing).
 
-    The curve saturates once the budget covers the stream, so value/pair
-    lookups beyond max_budget return the last entry.
+    Value/pair lookups beyond max_budget return the last entry.  That is
+    exact only when the curve covers the stream (max_budget >= its event
+    count), where the curve has saturated; a shorter curve clamps.
     """
 
     utilities: np.ndarray
@@ -240,10 +265,11 @@ class UtilityCurve:
 
 
 def utility_curve(stream: EventStream, max_budget: int) -> UtilityCurve:
-    """Memoized exact threshold selection for every budget 0..max_budget."""
+    """Exact threshold selection for every budget 0..max_budget, from one
+    pair table built only for those budgets."""
     if max_budget < 0:
         raise ValueError("max_budget must be >= 0")
-    cand, best_key, positives = _build_pair_table(stream)
+    cand, best_key, positives = _build_pair_table(stream, max_budget)
     keys = best_key[np.minimum(np.arange(max_budget + 1), len(stream))]
     tp, pair_index = np.divmod(keys, len(cand) ** 2)
     lower, upper = np.divmod(pair_index, len(cand))

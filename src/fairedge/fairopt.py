@@ -383,13 +383,14 @@ class _SolveState:
     Built once per solve and read by the assignment search and the bound.
     Each user is bisected once for its deadline bandwidth `min_bw` (or the
     failure `causes`), which fixes its security- and bandwidth-feasible
-    edge nodes.  The curves (the caller's, or built on first use) and a
-    per-user table of `w*log(max(u(k), floor))` for k = 0..total units are
-    fixed for the solve, so a split depends only on the capacity and the
-    users sharing it: splits are keyed by (capacity, users) and each is
-    computed once by `_split_rows` on the users' table rows, built by the
-    same `_log_row` as `allocate_compute_dp`.  Objectives are summed from the
-    table in user order, the same floats as `weighted_log_objective`.
+    edge nodes.  The curves (the caller's, which must reach min(total
+    units, stream length), or built on first use) and a per-user table of
+    `w*log(max(u(k), floor))` for k = 0..total units are fixed for the
+    solve, so a split depends only on the capacity and the users sharing
+    it: splits are keyed by (capacity, users) and each is computed once by
+    `_split_rows` on the users' table rows, built by the same `_log_row` as
+    `allocate_compute_dp`.  Objectives are summed from the table in user
+    order, the same floats as `weighted_log_objective`.
     """
 
     def __init__(self, scenario: Scenario, curves: Sequence[UtilityCurve] | None = None):
@@ -424,6 +425,15 @@ class _SolveState:
 
     @functools.cached_property
     def _log_values(self) -> list[list[float]]:
+        # lookups past a curve's max_budget clamp, which is exact only when
+        # it covers the stream, so a caller's shorter curve is rejected
+        for i, (ue, curve) in enumerate(zip(self.scenario.ues, self.curves)):
+            needed = min(self.total_units, len(ue.stream))
+            if curve.max_budget < needed:
+                raise ValueError(
+                    f"user {i}: utility curve covers budgets up to {curve.max_budget}, "
+                    f"the solve needs {needed}"
+                )
         return [_log_row(w, curve, self.total_units) for w, curve in zip(self.weights, self.curves)]
 
     def require_solvable(self) -> None:
@@ -505,12 +515,13 @@ def assignment_search(
 
     Raises `ValueError` without users or edge nodes, and
     `InfeasibleScenarioError` naming each user with no feasible node and its
-    cause.  Exhaustive mode enumerates every security-feasible combination
-    (guarded to 2^20; beyond that it silently falls back to local mode),
-    skips those that overload an edge node's bandwidth or power pool before
-    splitting any compute, and keeps the first best.  Local mode starts from
-    the greedy assignment and applies single-user reassignment moves until
-    none improves.  Per-node compute splits are memoised for the call, or
+    cause; then `ValueError` naming a user whose curve stops short of
+    min(total units, stream length).  Exhaustive mode enumerates every
+    security-feasible combination (guarded to 2^20; beyond that it silently
+    falls back to local mode), skips those that overload an edge node's
+    bandwidth or power pool before splitting any compute, and keeps the
+    first best.  Local mode starts from the greedy assignment and applies
+    single-user reassignment moves until none improves.  Per-node compute splits are memoised for the call, or
     for the whole solve when the solver passes its `_state`.
     """
     if mode not in ("exhaustive", "local"):

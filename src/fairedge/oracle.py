@@ -101,8 +101,8 @@ def _upper_blocks(matrix: np.ndarray, values: list[float], lower_idx: int):
 
 def _candidates(matrix: np.ndarray) -> list[float]:
     scores = sorted(set(matrix.ravel().tolist()))
-    lo = max(scores[0] - _SENTINEL_DELTA, scores[0] / 2.0)
-    hi = min(scores[-1] + _SENTINEL_DELTA, (scores[-1] + 1.0) / 2.0)
+    lo = max(scores[0] - _SENTINEL_DELTA, scores[0] / 2.0, math.nextafter(0.0, 1.0))
+    hi = min(scores[-1] + _SENTINEL_DELTA, (scores[-1] + 1.0) / 2.0, math.nextafter(1.0, 0.0))
     return [lo] + scores + [hi]
 
 

@@ -355,6 +355,31 @@ class TestAssignmentSearch:
         with pytest.raises(ValueError, match="at least one UE and one EN"):
             solve_alternating(scenario)
 
+    def test_short_caller_curve_is_rejected_not_clamped(self):
+        # clamped at budget 2, the 8-unit node looks no better than the 2-unit one
+        params = GeneratorParams(
+            layer_count=3, critical_prior=0.5, critical_drift=0.8, normal_drift=-0.8,
+            noise_std=0.6, seed=5,
+        )
+        stream = generate_stream(params, 30)
+        scenario = make_scenario([make_ue(stream=stream)], [make_en(units=2), make_en(units=8)])
+        full = utility_curve(stream, 10)
+        assert assignment_search(scenario, [full]).tolist() == [[0, 1]]
+        assert full.value(8) > full.value(2)
+        for short in (2, 9):
+            with pytest.raises(ValueError, match=f"user 0: utility curve covers budgets up to {short}"):
+                assignment_search(scenario, [utility_curve(stream, short)])
+            with pytest.raises(ValueError, match="user 0"):
+                _SolveState(scenario, [utility_curve(stream, short)]).split([0], 8)
+
+    def test_short_curve_check_runs_after_the_feasibility_gate(self):
+        short = utility_curve(make_ue().stream, 0)
+        blocked = make_scenario([make_ue(), make_ue(channel=blocked_channel())], [make_en()])
+        with pytest.raises(InfeasibleScenarioError, match="user 1: insecure link"):
+            assignment_search(blocked, [short, short])
+        with pytest.raises(ValueError, match="at least one UE and one EN"):
+            assignment_search(make_scenario([make_ue()], []), [short])
+
     def test_exhaustive_ties_keep_the_first_combination(self):
         # (0, 1) and (1, 0) give both users one unit and the same objective
         scenario = make_scenario([make_ue(), make_ue()], [make_en(units=1), make_en(units=1)])
